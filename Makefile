@@ -10,12 +10,12 @@ BENCHCOUNT ?= 5
 BENCHJSON ?= BENCH_pr3.json
 PROFILEDIR ?= .profile
 
-.PHONY: all check fmt vet build test race soak equivalence goldens fuzz-smoke serve-smoke loadtest loadtest-smoke gauntlet gauntlet-smoke bench-compare bench-json bench-contended bench-contended-smoke bench-pieces bench-pieces-smoke profile clean
+.PHONY: all check fmt vet build test race soak equivalence goldens fuzz-smoke serve-smoke loadtest loadtest-smoke gauntlet gauntlet-smoke bench-compare bench-json bench-contended bench-contended-smoke profile clean
 
 all: check
 
 # check is the tier-1 gate.
-check: fmt vet build race soak equivalence serve-smoke loadtest-smoke gauntlet-smoke bench-contended-smoke bench-pieces-smoke fuzz-smoke
+check: fmt vet build race soak equivalence serve-smoke loadtest-smoke gauntlet-smoke bench-contended-smoke fuzz-smoke
 
 # fmt fails (and lists the offenders) when any file is not gofmt-clean.
 fmt:
@@ -44,8 +44,8 @@ soak:
 
 # equivalence re-runs the refactor guards explicitly (they are also in
 # the plain suite): byte-identical output against the frozen goldens of
-# both language frontends, and the parses-per-run budget on the fixed
-# 3-layer script.
+# both language frontends, the parses-per-run budget on the fixed
+# 3-layer script, and the splice fallback rate on the 24-sample corpus.
 equivalence:
 	$(GO) test ./internal/core -run TestEquivalenceGolden -count=1
 	$(GO) test ./internal/psfront -run TestParseCount -count=1
@@ -138,21 +138,6 @@ bench-contended:
 bench-contended-smoke:
 	$(GO) run ./cmd/benchjson -contended -benchtime 30ms -o .bench_contended_smoke.json
 	rm -f .bench_contended_smoke.json
-
-# bench-pieces measures the batched-splice + parallel-piece recovery
-# fixpoint against the frozen PR 8 baseline: parses/run on the 3-layer
-# guard script, splice vs full-reparse counts over the 24-sample
-# corpus, pieces evaluated on the worker pool, and ns per workload pass
-# at 1 and >=4 simulated cores. Writes BENCH_pr9.json.
-# bench-pieces-smoke is the seconds-scale variant gating `make check`
-# (and CI): the mode itself exits non-zero when parses/run exceeds the
-# budget of 8 or the splice fallback rate reaches 20%.
-bench-pieces:
-	$(GO) run ./cmd/benchjson -pieces -o BENCH_pr9.json
-
-bench-pieces-smoke:
-	$(GO) run ./cmd/benchjson -pieces -benchtime 30ms -o .bench_pieces_smoke.json
-	rm -f .bench_pieces_smoke.json
 
 # profile runs the CLI over the deterministic 24-sample corpus with CPU
 # and allocation profiling enabled, leaving cpu.pprof / mem.pprof in

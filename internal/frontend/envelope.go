@@ -17,8 +17,7 @@ const defaultMaxOutputBytes = 64 << 20 // 64 MiB
 // the caller's context (deadline / cancelation) and the remaining
 // output byte budget shared by all unwrapped layers. An engine is
 // reusable across runs, so this state lives on the run, not on the
-// engine. The envelope is safe for concurrent use: piece workers
-// evaluating independent pieces in parallel share one budget.
+// engine. The envelope is safe for concurrent use.
 type Envelope struct {
 	ctx context.Context
 

@@ -733,12 +733,6 @@ type View struct {
 // Cache returns the underlying shared cache.
 func (v *View) Cache() *Cache { return v.c }
 
-// Fork returns a fresh view onto the same cache and language with
-// zeroed counters. Parallel piece workers each fork the run's view —
-// View counters are not concurrency-safe — and the caller merges the
-// forks' hits/misses back after the workers join.
-func (v *View) Fork() *View { return &View{c: v.c, lang: v.lang} }
-
 // Lang returns the language this view is bound to.
 func (v *View) Lang() Lang { return v.lang }
 

@@ -554,18 +554,6 @@ func (v *EvalView) Cache() *EvalCache {
 	return v.c
 }
 
-// Fork returns a fresh view onto the same cache and ops with zeroed
-// counters (nil for a nil receiver, preserving "caching disabled").
-// Parallel piece workers each fork the run's view — EvalView counters
-// are not concurrency-safe — and the caller merges the forks'
-// hits/misses/skips back after the workers join.
-func (v *EvalView) Fork() *EvalView {
-	if v == nil {
-		return nil
-	}
-	return &EvalView{c: v.c, ops: v.ops}
-}
-
 func (v *EvalView) recordHit(warm bool) {
 	v.Hits++
 	lang := v.ops.Name()

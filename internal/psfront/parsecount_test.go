@@ -80,23 +80,40 @@ func TestParseCountBudget(t *testing.T) {
 	}
 }
 
-// TestParseCountReportsAllInputs prints (verbose mode) the per-input
-// parse counts over the deterministic corpus — a quick profiling aid,
-// not an assertion. The corpus parameters pin the same inputs as the
-// core equivalence suite.
+// spliceFallbackCeiling is the share of ast-phase replacement batches
+// over the deterministic corpus that may fall back from the batched
+// splice to a full re-render and reparse (measured: 0).
+const spliceFallbackCeiling = 0.20
+
+// TestParseCountReportsAllInputs reports (verbose mode) the total parse
+// count over the deterministic corpus and gates the splice fallback
+// rate across it: a rate at or above spliceFallbackCeiling means the
+// splicer stopped proving its common edits safe. The corpus parameters
+// pin the same inputs as the core equivalence suite.
 func TestParseCountReportsAllInputs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("profiling aid")
-	}
 	samples := corpus.Generate(corpus.Config{Seed: 20220627, N: 24, MaxL3Layers: 3})
 	d := core.New(core.Options{Lang: "powershell"})
 	var total int64
+	var applied, fallbacks int
 	for i, s := range samples {
 		before := psparser.ParseCalls()
-		if _, err := d.Deobfuscate(s.Source); err != nil {
+		res, err := d.Deobfuscate(s.Source)
+		if err != nil {
 			t.Fatalf("corpus_%02d: %v", i, err)
 		}
 		total += psparser.ParseCalls() - before
+		applied += res.Stats.SplicesApplied
+		fallbacks += res.Stats.SpliceFallbacks
 	}
 	t.Log(fmt.Sprintf("total parses across %d corpus scripts: %d", len(samples), total))
+	batches := applied + fallbacks
+	if batches == 0 {
+		t.Fatal("no replacement batches across the corpus; the splice gate measured nothing")
+	}
+	rate := float64(fallbacks) / float64(batches)
+	t.Logf("splice fallbacks: %d of %d batches (%.2f)", fallbacks, batches, rate)
+	if rate >= spliceFallbackCeiling {
+		t.Errorf("splice fallback rate %.2f (%d of %d batches), want < %.2f",
+			rate, fallbacks, batches, spliceFallbackCeiling)
+	}
 }

@@ -49,7 +49,6 @@ func TestMetricsExposition(t *testing.T) {
 		`invokedeob_requests_total{endpoint="deobfuscate"} 1`,
 		"# TYPE invokedeob_pieces_recovered_total counter",
 		"# TYPE invokedeob_splices_applied_total counter",
-		"# TYPE invokedeob_pieces_parallel_total counter",
 		"# TYPE invokedeob_splice_fallbacks_total counter",
 		"# TYPE invokedeob_pass_duration_seconds histogram",
 		`invokedeob_pass_duration_seconds_bucket{pass="`,

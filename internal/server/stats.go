@@ -174,7 +174,6 @@ func (st *serverStats) observeRun(res *core.Result) {
 	a.EvalCacheHits += s.EvalCacheHits
 	a.EvalCacheMisses += s.EvalCacheMisses
 	a.EvalCacheSkips += s.EvalCacheSkips
-	a.PiecesParallel += s.PiecesParallel
 	a.SplicesApplied += s.SplicesApplied
 	a.SpliceFallbacks += s.SpliceFallbacks
 	for _, p := range res.PassTrace {

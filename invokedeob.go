@@ -87,12 +87,6 @@ type Options struct {
 	// Jobs bounds DeobfuscateBatch worker-pool concurrency (default
 	// GOMAXPROCS). Ignored outside batch runs.
 	Jobs int
-	// PieceWorkers bounds the per-run worker pool that evaluates
-	// independent recoverable pieces concurrently inside the AST phase
-	// (default GOMAXPROCS; 1 disables the pool). Outputs do not depend
-	// on the worker count. In batch runs the effective value is clamped
-	// so jobs × piece-workers stays within GOMAXPROCS.
-	PieceWorkers int
 	// DisableSplice turns off batched subtree splicing with incremental
 	// reparse, falling back to a full re-render and reparse per
 	// replacement batch. Performance-only; outputs are byte-identical
@@ -123,7 +117,6 @@ func (o *Options) toCore() core.Options {
 		MaxOutputBytes:         o.MaxOutputBytes,
 		DisableEvalCache:       o.DisableEvalCache,
 		Jobs:                   o.Jobs,
-		PieceWorkers:           o.PieceWorkers,
 		DisableSplice:          o.DisableSplice,
 		ScriptTimeout:          o.ScriptTimeout,
 	}
@@ -161,9 +154,6 @@ type Stats struct {
 	// EvalCacheSkips counts piece evaluations that ran but were not
 	// cacheable (impure, failed, or holding uncopyable values).
 	EvalCacheSkips int64
-	// PiecesParallel counts pieces evaluated off the walk goroutine by
-	// the piece worker pool (0 when PieceWorkers is 1).
-	PiecesParallel int
 	// SplicesApplied counts replacement batches applied as incremental
 	// document splices; SpliceFallbacks counts batches that fell back
 	// to a full re-render and reparse.
@@ -316,7 +306,6 @@ func toResult(res *core.Result) *Result {
 			EvalCacheHits:      res.Stats.EvalCacheHits,
 			EvalCacheMisses:    res.Stats.EvalCacheMisses,
 			EvalCacheSkips:     res.Stats.EvalCacheSkips,
-			PiecesParallel:     res.Stats.PiecesParallel,
 			SplicesApplied:     res.Stats.SplicesApplied,
 			SpliceFallbacks:    res.Stats.SpliceFallbacks,
 		},
