@@ -7,15 +7,14 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHCOUNT ?= 5
 
-BENCHJSON ?= BENCH_pr3.json
 PROFILEDIR ?= .profile
 
-.PHONY: all check fmt vet build test race soak equivalence goldens fuzz-smoke serve-smoke loadtest loadtest-smoke gauntlet gauntlet-smoke bench-compare bench-json bench-contended bench-contended-smoke profile clean
+.PHONY: all check fmt vet build test race soak equivalence goldens fuzz-smoke serve-smoke loadtest loadtest-smoke gauntlet gauntlet-smoke bench-compare profile clean
 
 all: check
 
 # check is the tier-1 gate.
-check: fmt vet build race soak equivalence serve-smoke loadtest-smoke gauntlet-smoke bench-contended-smoke fuzz-smoke
+check: fmt vet build race soak equivalence serve-smoke loadtest-smoke gauntlet-smoke fuzz-smoke
 
 # fmt fails (and lists the offenders) when any file is not gofmt-clean.
 fmt:
@@ -119,35 +118,15 @@ bench-compare:
 		echo "no baseline; run: cp bench.new bench.old"; \
 	fi
 
-# bench-json writes the machine-readable performance report (ns/op,
-# allocs/op, parses/run, eval-cache hit rates and the PR 2 baseline
-# deltas) consumed by the perf acceptance criteria.
-bench-json:
-	$(GO) run ./cmd/benchjson -o $(BENCHJSON)
-
-# bench-contended measures the sharded cache tier under a
-# many-goroutine workload at simulated multi-core GOMAXPROCS:
-# single-mutex vs sharded parse cache, the duplicate-wave coalescing
-# guarantee, and an in-process kill/restart cycle through the
-# warm-restart snapshot. Writes BENCH_pr8.json. bench-contended-smoke
-# is the seconds-scale variant gating `make check` (and CI): same
-# scenarios, short measuring time, report discarded.
-bench-contended:
-	$(GO) run ./cmd/benchjson -contended -o BENCH_pr8.json
-
-bench-contended-smoke:
-	$(GO) run ./cmd/benchjson -contended -benchtime 30ms -o .bench_contended_smoke.json
-	rm -f .bench_contended_smoke.json
-
-# profile runs the CLI over the deterministic 24-sample corpus with CPU
-# and allocation profiling enabled, leaving cpu.pprof / mem.pprof in
-# $(PROFILEDIR) for `go tool pprof`.
+# profile runs the sequential batch benchmark (16-sample generated
+# corpus, one worker) with CPU and allocation profiling enabled,
+# leaving cpu.pprof / mem.pprof in $(PROFILEDIR) for `go tool pprof`.
 profile:
 	rm -rf $(PROFILEDIR)
-	$(GO) run ./cmd/benchjson -emit-corpus $(PROFILEDIR)/corpus
-	$(GO) run ./cmd/invoke-deobfuscation \
+	mkdir -p $(PROFILEDIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkDeobfuscateBatch/jobs=1$$' \
 		-cpuprofile $(PROFILEDIR)/cpu.pprof -memprofile $(PROFILEDIR)/mem.pprof \
-		$(PROFILEDIR)/corpus/*.ps1 > /dev/null
+		-o $(PROFILEDIR)/invokedeob.test .
 	@echo "profiles: $(PROFILEDIR)/cpu.pprof $(PROFILEDIR)/mem.pprof"
 
 clean:

@@ -42,7 +42,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		lang        = fs.String("lang", "", "language frontend: powershell, javascript, or an alias (empty = auto-detect per script)")
 		showStats   = fs.Bool("stats", false, "print deobfuscation statistics to stderr")
 		showLayers  = fs.Bool("layers", false, "print each intermediate layer")
-		showTrace   = fs.Bool("trace", false, "print the per-pass pipeline trace (time, bytes, reverts, parse- and eval-cache hits) to stderr")
+		showTrace   = fs.Bool("trace", false, "print the per-pass pipeline trace (time, self time, bytes, reverts, parse- and eval-cache hits) to stderr")
 		noRename    = fs.Bool("no-rename", false, "disable identifier renaming")
 		noReformat  = fs.Bool("no-reformat", false, "disable reformatting")
 		noTrace     = fs.Bool("no-trace", false, "disable variable tracing (ablation)")
@@ -215,8 +215,8 @@ func emitNamed(stdout, stderr io.Writer, name string, res *invokedeob.Result, em
 	if emit.trace {
 		for _, p := range res.PassTrace {
 			fmt.Fprintf(stderr,
-				"%strace pass=%-8s runs=%d time=%s in=%dB out=%dB reverts=%d cache=%d/%d hits eval=%d/%d hits (%d skipped)\n",
-				prefix, p.Pass, p.Runs, p.Duration, p.BytesIn, p.BytesOut,
+				"%strace pass=%-8s runs=%d time=%s self=%s in=%dB out=%dB reverts=%d cache=%d/%d hits eval=%d/%d hits (%d skipped)\n",
+				prefix, p.Pass, p.Runs, p.Duration, p.SelfDuration, p.BytesIn, p.BytesOut,
 				p.Reverts, p.CacheHits, p.CacheHits+p.CacheMisses,
 				p.EvalHits, p.EvalHits+p.EvalMisses, p.EvalSkips)
 		}

@@ -167,8 +167,8 @@ func TestRunBatchPartialFailure(t *testing.T) {
 	}
 }
 
-// TestRunTrace asserts the -trace flag emits per-pass lines with cache
-// counters on stderr.
+// TestRunTrace asserts the -trace flag emits per-pass lines with
+// cumulative and self time and cache counters on stderr.
 func TestRunTrace(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	in := strings.NewReader("IEX 'IEX ''write-host traced'''")
@@ -181,6 +181,14 @@ func TestRunTrace(t *testing.T) {
 	es := stderr.String()
 	if !strings.Contains(es, "trace pass=") || !strings.Contains(es, "cache=") {
 		t.Errorf("trace lines missing: %q", es)
+	}
+	for _, line := range strings.Split(es, "\n") {
+		if !strings.Contains(line, "trace pass=") {
+			continue
+		}
+		if !strings.Contains(line, " time=") || !strings.Contains(line, " self=") {
+			t.Errorf("trace line lacks time= or self=: %q", line)
+		}
 	}
 	if !strings.Contains(es, "ast") {
 		t.Errorf("trace missing ast pass: %q", es)

@@ -77,9 +77,6 @@ func New(opts Options) *Deobfuscator {
 	if opts.StepBudget == 0 {
 		opts.StepBudget = 500_000
 	}
-	if opts.MaxPieceLen == 0 {
-		opts.MaxPieceLen = 1 << 20
-	}
 	return &Deobfuscator{opts: opts}
 }
 
@@ -173,7 +170,7 @@ func (d *Deobfuscator) deobfuscate(ctx context.Context, src, lang string, cache 
 	}
 	doc := pipeline.NewDocument(src, cache.View(fe))
 	pc := &pipeline.PassContext{Doc: doc, Eval: evalCache.View(fe)}
-	runner := pipeline.NewRunner(nil)
+	var runner pipeline.Runner
 	bl := d.opts.Blocklist
 	if bl == nil {
 		bl = fe.DefaultBlocklist()
@@ -233,7 +230,7 @@ func (d *Deobfuscator) deobfuscate(ctx context.Context, src, lang string, cache 
 		}
 	}
 	res.Script = cur
-	res.PassTrace = runner.Trace().Stats()
+	res.PassTrace = runner.Stats()
 	if pc.Eval != nil {
 		res.Stats.EvalCacheHits = pc.Eval.Hits
 		res.Stats.EvalCacheMisses = pc.Eval.Misses

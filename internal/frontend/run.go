@@ -6,8 +6,8 @@ import (
 
 // Options configures a deobfuscation run. The zero value enables every
 // phase with the paper's defaults and auto-detects the language.
-// The engine driver (internal/core) aliases this type so embedders see
-// one option surface.
+// The engine driver (internal/core) and the public facade alias this
+// type, so embedders see one option surface.
 type Options struct {
 	// Lang names the language frontend ("powershell", "javascript",
 	// or any registered alias). Empty means auto-detect per script.
@@ -17,9 +17,6 @@ type Options struct {
 	// StepBudget bounds interpreter work per recoverable piece. Zero
 	// means 500k steps.
 	StepBudget int
-	// MaxPieceLen skips recoverable pieces larger than this many bytes.
-	// Zero means 1 MiB.
-	MaxPieceLen int
 	// Blocklist overrides the frontend's default irrelevant-command
 	// blocklist.
 	Blocklist map[string]bool
@@ -127,6 +124,32 @@ type Stats struct {
 	// attempted but failed validation and the engine fell back to a full
 	// re-render + reparse.
 	SpliceFallbacks int
+}
+
+// Add folds another run's record into s: every counter and duration
+// sums, and TimedOut is set when either run timed out. It is the one
+// place run records are aggregated (the HTTP service's /statsz totals,
+// test sums).
+func (s *Stats) Add(o Stats) {
+	s.TokensNormalized += o.TokensNormalized
+	s.PiecesAttempted += o.PiecesAttempted
+	s.PiecesRecovered += o.PiecesRecovered
+	s.VariablesTraced += o.VariablesTraced
+	s.VariablesInlined += o.VariablesInlined
+	s.LayersUnwrapped += o.LayersUnwrapped
+	s.IdentifiersRenamed += o.IdentifiersRenamed
+	s.Iterations += o.Iterations
+	s.Duration += o.Duration
+	s.PiecesTimedOut += o.PiecesTimedOut
+	s.PiecesPanicked += o.PiecesPanicked
+	s.PiecesOverBudget += o.PiecesOverBudget
+	s.TimedOut = s.TimedOut || o.TimedOut
+	s.EvalCacheHits += o.EvalCacheHits
+	s.EvalCacheMisses += o.EvalCacheMisses
+	s.EvalCacheSkips += o.EvalCacheSkips
+	s.PiecesParallel += o.PiecesParallel
+	s.SplicesApplied += o.SplicesApplied
+	s.SpliceFallbacks += o.SpliceFallbacks
 }
 
 // Run carries the per-run state every pass shares: the run's options,

@@ -126,65 +126,48 @@ type PassStat struct {
 	EvalSkips  int64
 }
 
-// Trace accumulates PassStats in first-run order. It is confined to
-// one run (one goroutine).
-type Trace struct {
-	order  []string
-	byName map[string]*PassStat
+// Add folds another execution (or another run's aggregate) of the same
+// pass into s: runs, durations, reverts and cache outcomes sum, and
+// BytesOut takes o's value. Pass and BytesIn are left as they are —
+// they name the pass and size its first run. It is the one place pass
+// records are aggregated (Runner.Run, the HTTP service's /statsz).
+func (s *PassStat) Add(o PassStat) {
+	s.Runs += o.Runs
+	s.Duration += o.Duration
+	s.SelfDuration += o.SelfDuration
+	s.BytesOut = o.BytesOut
+	s.Reverts += o.Reverts
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.EvalHits += o.EvalHits
+	s.EvalMisses += o.EvalMisses
+	s.EvalSkips += o.EvalSkips
 }
 
-// NewTrace returns an empty Trace.
-func NewTrace() *Trace {
-	return &Trace{byName: make(map[string]*PassStat)}
-}
-
-// Record folds one pass execution into the trace. d is the execution's
-// cumulative duration, self the portion spent outside nested payload
-// layers.
-func (t *Trace) Record(pass string, d, self time.Duration, bytesIn, bytesOut, reverts int, hits, misses int64, evalHits, evalMisses, evalSkips int64) {
-	st, ok := t.byName[pass]
-	if !ok {
-		st = &PassStat{Pass: pass, BytesIn: bytesIn}
-		t.byName[pass] = st
-		t.order = append(t.order, pass)
-	}
-	st.Runs++
-	st.Duration += d
-	st.SelfDuration += self
-	st.BytesOut = bytesOut
-	st.Reverts += reverts
-	st.CacheHits += hits
-	st.CacheMisses += misses
-	st.EvalHits += evalHits
-	st.EvalMisses += evalMisses
-	st.EvalSkips += evalSkips
+// Runner executes passes over a PassContext and traces each execution
+// into one PassStat per pass, in first-run order. The zero value is
+// ready to use; a Runner is confined to one run (one goroutine).
+type Runner struct {
+	stats []PassStat
 }
 
 // Stats returns the accumulated per-pass statistics in first-run order.
-func (t *Trace) Stats() []PassStat {
-	out := make([]PassStat, 0, len(t.order))
-	for _, name := range t.order {
-		out = append(out, *t.byName[name])
+func (r *Runner) Stats() []PassStat {
+	return append([]PassStat(nil), r.stats...)
+}
+
+// stat returns the trace entry for pass, creating it (sized bytesIn)
+// on the pass's first run. A run has a handful of passes, so a linear
+// scan beats a map.
+func (r *Runner) stat(pass string, bytesIn int) *PassStat {
+	for i := range r.stats {
+		if r.stats[i].Pass == pass {
+			return &r.stats[i]
+		}
 	}
-	return out
+	r.stats = append(r.stats, PassStat{Pass: pass, BytesIn: bytesIn})
+	return &r.stats[len(r.stats)-1]
 }
-
-// Runner executes passes over a PassContext, recording a trace entry
-// per execution (duration, bytes in/out, reverts, cache hits/misses).
-type Runner struct {
-	trace *Trace
-}
-
-// NewRunner returns a Runner recording into trace (nil allocates one).
-func NewRunner(trace *Trace) *Runner {
-	if trace == nil {
-		trace = NewTrace()
-	}
-	return &Runner{trace: trace}
-}
-
-// Trace returns the runner's trace.
-func (r *Runner) Trace() *Trace { return r.trace }
 
 // Run executes one pass and records its trace entry. The pass's error
 // is returned unwrapped.
@@ -201,17 +184,22 @@ func (r *Runner) Run(p Pass, pc *PassContext) error {
 	start := time.Now()
 	err := p.Run(pc)
 	total := time.Since(start)
-	var eh, em, es int64
+	d := PassStat{
+		Runs:        1,
+		Duration:    total,
+		BytesOut:    pc.Doc.Len(),
+		Reverts:     pc.Reverts - reverts0,
+		CacheHits:   view.Hits - hits0,
+		CacheMisses: view.Misses - misses0,
+	}
 	if pc.Eval != nil {
-		eh, em, es = pc.Eval.Hits-eh0, pc.Eval.Misses-em0, pc.Eval.Skips-es0
+		d.EvalHits = pc.Eval.Hits - eh0
+		d.EvalMisses = pc.Eval.Misses - em0
+		d.EvalSkips = pc.Eval.Skips - es0
 	}
 	// Self time excludes the nested payload layers processed inside this
 	// execution; their own pass work would otherwise be attributed twice.
-	self := total - (pc.nestedTime - nested0)
-	if self < 0 {
-		self = 0
-	}
-	r.trace.Record(p.Name(), total, self, bytesIn, pc.Doc.Len(),
-		pc.Reverts-reverts0, view.Hits-hits0, view.Misses-misses0, eh, em, es)
+	d.SelfDuration = max(total-(pc.nestedTime-nested0), 0)
+	r.stat(p.Name(), bytesIn).Add(d)
 	return err
 }

@@ -314,26 +314,24 @@ func TestDocumentWithoutLang(t *testing.T) {
 	}
 }
 
+// TestTraceAggregation folds three executions of two passes through
+// PassStat.Add, the one place pass records are summed.
 func TestTraceAggregation(t *testing.T) {
-	tr := NewTrace()
-	tr.Record("token", 2*time.Millisecond, 2*time.Millisecond, 100, 90, 1, 3, 2, 0, 0, 0)
-	tr.Record("ast", time.Millisecond, time.Millisecond/2, 90, 50, 0, 5, 1, 2, 1, 1)
-	tr.Record("token", time.Millisecond, time.Millisecond, 50, 40, 2, 1, 0, 0, 0, 0)
-	stats := tr.Stats()
-	if len(stats) != 2 {
-		t.Fatalf("got %d pass stats", len(stats))
-	}
-	tok := stats[0]
-	if tok.Pass != "token" {
-		t.Fatalf("first-run order broken: %q first", tok.Pass)
-	}
-	if tok.Runs != 2 || tok.Duration != 3*time.Millisecond || tok.Reverts != 3 {
+	tok := PassStat{Pass: "token", BytesIn: 100}
+	tok.Add(PassStat{Runs: 1, Duration: 2 * time.Millisecond, SelfDuration: 2 * time.Millisecond,
+		BytesIn: 100, BytesOut: 90, Reverts: 1, CacheHits: 3, CacheMisses: 2})
+	tok.Add(PassStat{Runs: 1, Duration: time.Millisecond, SelfDuration: time.Millisecond,
+		BytesIn: 50, BytesOut: 40, Reverts: 2, CacheHits: 1})
+	ast := PassStat{Pass: "ast", BytesIn: 90}
+	ast.Add(PassStat{Runs: 1, Duration: time.Millisecond, SelfDuration: time.Millisecond / 2,
+		BytesIn: 90, BytesOut: 50, CacheHits: 5, CacheMisses: 1, EvalHits: 2, EvalMisses: 1, EvalSkips: 1})
+	if tok.Pass != "token" || tok.Runs != 2 || tok.Duration != 3*time.Millisecond || tok.Reverts != 3 {
 		t.Errorf("token aggregate = %+v", tok)
 	}
 	if tok.SelfDuration != 3*time.Millisecond {
 		t.Errorf("token self-duration = %v, want 3ms", tok.SelfDuration)
 	}
-	if ast := stats[1]; ast.SelfDuration != time.Millisecond/2 {
+	if ast.SelfDuration != time.Millisecond/2 {
 		t.Errorf("ast self-duration = %v, want 0.5ms", ast.SelfDuration)
 	}
 	if tok.BytesIn != 100 || tok.BytesOut != 40 {
@@ -342,7 +340,6 @@ func TestTraceAggregation(t *testing.T) {
 	if tok.CacheHits != 4 || tok.CacheMisses != 2 {
 		t.Errorf("token cache = %d/%d", tok.CacheHits, tok.CacheMisses)
 	}
-	ast := stats[1]
 	if ast.EvalHits != 2 || ast.EvalMisses != 1 || ast.EvalSkips != 1 {
 		t.Errorf("ast eval cache = %d/%d/%d", ast.EvalHits, ast.EvalMisses, ast.EvalSkips)
 	}
@@ -351,7 +348,7 @@ func TestTraceAggregation(t *testing.T) {
 func TestRunnerRecordsPassExecution(t *testing.T) {
 	c := NewCache(0, 0)
 	doc := NewDocument("Write-Host before", c.View(newFakeLang()))
-	r := NewRunner(nil)
+	var r Runner
 	pass := NewPass("demo", func(pc *PassContext) error {
 		if _, err := pc.Doc.AST(); err != nil { // one cache miss
 			return err
@@ -364,7 +361,7 @@ func TestRunnerRecordsPassExecution(t *testing.T) {
 	if err := r.Run(pass, pc); err != nil {
 		t.Fatal(err)
 	}
-	stats := r.Trace().Stats()
+	stats := r.Stats()
 	if len(stats) != 1 {
 		t.Fatalf("got %d stats", len(stats))
 	}
@@ -378,11 +375,27 @@ func TestRunnerRecordsPassExecution(t *testing.T) {
 	if st.CacheMisses != 1 {
 		t.Errorf("cache misses = %d, want 1", st.CacheMisses)
 	}
+	if st.SelfDuration != st.Duration {
+		t.Errorf("self-duration %v, want %v (no nested layers)", st.SelfDuration, st.Duration)
+	}
 	// Errors propagate unwrapped.
 	boom := errors.New("boom")
 	bad := NewPass("bad", func(*PassContext) error { return boom })
 	if err := r.Run(bad, pc); !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
+	}
+	// A second run of the first pass folds into its entry, keeping
+	// first-run order and the first run's BytesIn.
+	pc.Doc.SetText("Write-Host again, longer")
+	if err := r.Run(pass, pc); err != nil {
+		t.Fatal(err)
+	}
+	stats = r.Stats()
+	if len(stats) != 2 || stats[0].Pass != "demo" || stats[1].Pass != "bad" {
+		t.Fatalf("first-run order broken: %+v", stats)
+	}
+	if st := stats[0]; st.Runs != 2 || st.Reverts != 2 || st.BytesIn != len("Write-Host before") {
+		t.Errorf("demo aggregate = %+v", st)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -183,6 +184,19 @@ func TestCacheHotKeyCoalescedExactlyOnce(t *testing.T) {
 			}
 			hotResults[w] = ast
 		}(w)
+	}
+	// Every hot requester joins the one in-flight computation before
+	// the churn starts. A requester arriving after the churn evicted the
+	// hot entry would rightly start a new generation (a new entry, a
+	// second parse); this test pins the requesters already holding it.
+	deadline := time.Now().Add(10 * time.Second)
+	for hot.parses.Load() != 1 || c.Stats().CoalescedWaits != workers-1 {
+		if time.Now().After(deadline) {
+			close(hot.gate)
+			t.Fatalf("hot requesters never joined one flight: %d parses, %d coalesced waits",
+				hot.parses.Load(), c.Stats().CoalescedWaits)
+		}
+		runtime.Gosched()
 	}
 	// Churn concurrently with the blocked hot-key computation: evictions
 	// in other entries must not disturb the in-flight singleflight.

@@ -12,6 +12,11 @@ import (
 	"github.com/invoke-deobfuscation/invokedeob/internal/psparser"
 )
 
+// maxPieceLen is the largest recoverable piece, in bytes, the ast
+// phase evaluates or splices back as a literal; larger pieces are left
+// as they are.
+const maxPieceLen = 1 << 20
+
 // varEntry is one symbol-table record of the variable-tracing pass
 // (paper Algorithm 1): the traced value and the scope path where the
 // assignment happened.
@@ -441,7 +446,7 @@ func (s *astState) evaluateStatementValue(n psast.Node, ctx visitCtx) (any, bool
 // the symbol table stands exactly where the traversal has reached.
 func (s *astState) tryRecover(n psast.Node, ctx visitCtx) {
 	text := s.textOf(n)
-	if len(text) > s.r.Opts.MaxPieceLen {
+	if len(text) > maxPieceLen {
 		return
 	}
 	if s.isTrivialPiece(n, text) {
@@ -461,7 +466,7 @@ func (s *astState) tryRecover(n psast.Node, ctx visitCtx) {
 	if !ok || lit == text {
 		return
 	}
-	if len(lit) > s.r.Opts.MaxPieceLen {
+	if len(lit) > maxPieceLen {
 		return
 	}
 	s.setRepl(n, lit)

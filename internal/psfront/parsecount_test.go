@@ -94,7 +94,7 @@ func TestParseCountReportsAllInputs(t *testing.T) {
 	samples := corpus.Generate(corpus.Config{Seed: 20220627, N: 24, MaxL3Layers: 3})
 	d := core.New(core.Options{Lang: "powershell"})
 	var total int64
-	var applied, fallbacks int
+	var sum core.Stats
 	for i, s := range samples {
 		before := psparser.ParseCalls()
 		res, err := d.Deobfuscate(s.Source)
@@ -102,11 +102,11 @@ func TestParseCountReportsAllInputs(t *testing.T) {
 			t.Fatalf("corpus_%02d: %v", i, err)
 		}
 		total += psparser.ParseCalls() - before
-		applied += res.Stats.SplicesApplied
-		fallbacks += res.Stats.SpliceFallbacks
+		sum.Add(res.Stats)
 	}
 	t.Log(fmt.Sprintf("total parses across %d corpus scripts: %d", len(samples), total))
-	batches := applied + fallbacks
+	fallbacks := sum.SpliceFallbacks
+	batches := sum.SplicesApplied + fallbacks
 	if batches == 0 {
 		t.Fatal("no replacement batches across the corpus; the splice gate measured nothing")
 	}

@@ -48,7 +48,7 @@ type serverStats struct {
 	// last request's.
 	agg core.Stats
 	// passes folds every run's PassTrace by pass name, preserving
-	// first-seen order like the engine's own Trace.
+	// first-seen order like the engine's own pipeline.Runner.
 	passOrder []string
 	passes    map[string]*pipeline.PassStat
 	// passLat holds per-pass latency histograms (one observation per
@@ -157,25 +157,7 @@ func (st *serverStats) requestDone() {
 func (st *serverStats) observeRun(res *core.Result) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	a, s := &st.agg, res.Stats
-	a.TokensNormalized += s.TokensNormalized
-	a.PiecesAttempted += s.PiecesAttempted
-	a.PiecesRecovered += s.PiecesRecovered
-	a.VariablesTraced += s.VariablesTraced
-	a.VariablesInlined += s.VariablesInlined
-	a.LayersUnwrapped += s.LayersUnwrapped
-	a.IdentifiersRenamed += s.IdentifiersRenamed
-	a.Iterations += s.Iterations
-	a.Duration += s.Duration
-	a.PiecesTimedOut += s.PiecesTimedOut
-	a.PiecesPanicked += s.PiecesPanicked
-	a.PiecesOverBudget += s.PiecesOverBudget
-	a.TimedOut = a.TimedOut || s.TimedOut
-	a.EvalCacheHits += s.EvalCacheHits
-	a.EvalCacheMisses += s.EvalCacheMisses
-	a.EvalCacheSkips += s.EvalCacheSkips
-	a.SplicesApplied += s.SplicesApplied
-	a.SpliceFallbacks += s.SpliceFallbacks
+	st.agg.Add(res.Stats)
 	for _, p := range res.PassTrace {
 		h, ok := st.passLat[p.Pass]
 		if !ok {
@@ -185,20 +167,12 @@ func (st *serverStats) observeRun(res *core.Result) {
 		h.observe(p.Duration.Seconds())
 		agg, ok := st.passes[p.Pass]
 		if !ok {
-			cp := p
-			cp.BytesIn, cp.BytesOut = 0, 0 // sizes are per-run, meaningless summed
-			st.passes[p.Pass] = &cp
+			agg = &pipeline.PassStat{Pass: p.Pass}
+			st.passes[p.Pass] = agg
 			st.passOrder = append(st.passOrder, p.Pass)
-			continue
 		}
-		agg.Runs += p.Runs
-		agg.Duration += p.Duration
-		agg.Reverts += p.Reverts
-		agg.CacheHits += p.CacheHits
-		agg.CacheMisses += p.CacheMisses
-		agg.EvalHits += p.EvalHits
-		agg.EvalMisses += p.EvalMisses
-		agg.EvalSkips += p.EvalSkips
+		agg.Add(p)
+		agg.BytesOut = 0 // sizes are per-run, meaningless summed
 	}
 }
 
