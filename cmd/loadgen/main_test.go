@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -166,20 +167,21 @@ func TestTrafficGen(t *testing.T) {
 // /v1/deobfuscate, plus a /statsz that counts what it served.
 func fakeTarget(t *testing.T) *httptest.Server {
 	t.Helper()
-	var served int64
+	var served atomic.Int64 // handlers run concurrently
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/deobfuscate", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
-		served++
+		served.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(`{"deobfuscated":"ok"}`))
 	})
 	mux.HandleFunc("/statsz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
+		n := served.Load()
 		json.NewEncoder(w).Encode(map[string]any{
 			"rejected":      map[string]int64{},
-			"status_counts": map[string]int64{"200": served},
-			"classes":       map[string]int64{"light": served},
+			"status_counts": map[string]int64{"200": n},
+			"classes":       map[string]int64{"light": n},
 		})
 	})
 	srv := httptest.NewServer(mux)

@@ -139,10 +139,7 @@ func LoadCacheSnapshot(ctx context.Context, path string, cache *pipeline.Cache, 
 			return stats, ctx.Err()
 		}
 		fe := resolve(e.Lang)
-		if fe == nil || !fe.Capabilities().Evaluate {
-			continue
-		}
-		if evalCache == nil {
+		if fe == nil || evalCache == nil {
 			continue
 		}
 		if loadEvalRecord(ctx, evalCache, fe, e.Text) {
@@ -165,7 +162,7 @@ func loadEvalRecord(ctx context.Context, evalCache *pipeline.EvalCache, fe front
 	}()
 	ectx, cancel := context.WithTimeout(ctx, snapshotEvalTimeout)
 	defer cancel()
-	res, err := fe.Evaluate(ectx, snippet, nil, frontend.EvalBudget{})
+	res, err := fe.Evaluate(ectx, snippet, nil)
 	if err != nil || !res.Pure || len(res.ReadVars) > 0 {
 		return false
 	}

@@ -40,7 +40,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	const snippet = "'de' + 'obfuscated'"
-	res, err := ps.Evaluate(context.Background(), snippet, nil, frontend.EvalBudget{})
+	res, err := ps.Evaluate(context.Background(), snippet, nil)
 	if err != nil || !res.Pure {
 		t.Fatalf("seed eval: err=%v pure=%v", err, res.Pure)
 	}

@@ -28,26 +28,6 @@ import (
 // frontend).
 var ErrUnsupported = errors.New("frontend: operation not supported")
 
-// Capabilities describes the optional abilities of a frontend, so the
-// driver and callers can branch without type assertions.
-type Capabilities struct {
-	// Evaluate reports that the frontend can safely evaluate snippets
-	// in an embedded interpreter (the paper's recovery phase).
-	Evaluate bool
-	// RecoverableNodes reports that the frontend detects recoverable
-	// AST nodes and folds them during its layer passes.
-	RecoverableNodes bool
-}
-
-// EvalBudget bounds one snippet evaluation.
-type EvalBudget struct {
-	// MaxSteps bounds interpreter steps (0 = frontend default).
-	MaxSteps int
-	// MaxAllocBytes bounds interpreter allocations (0 = frontend
-	// default).
-	MaxAllocBytes int64
-}
-
 // EvalResult is the outcome of one snippet evaluation.
 type EvalResult struct {
 	// Values is the pipeline output of the snippet.
@@ -75,10 +55,10 @@ type Frontend interface {
 	// Parse produces the language's AST artifact; a nil error means
 	// src is syntactically valid.
 	Parse(src string) (any, error)
-	// Evaluate runs a snippet in the frontend's bounded evaluator with
-	// the given variable preloads. Frontends without an evaluator
-	// return ErrUnsupported (Base's default).
-	Evaluate(ctx context.Context, snippet string, vars map[string]any, budget EvalBudget) (EvalResult, error)
+	// Evaluate runs a snippet in the frontend's bounded evaluator, at
+	// its default budgets, with the given variable preloads. Frontends
+	// without an evaluator return ErrUnsupported (Base's default).
+	Evaluate(ctx context.Context, snippet string, vars map[string]any) (EvalResult, error)
 	// Render renders a recovered value as a source literal of the
 	// language, or false when the value has no literal form.
 	Render(v any) (string, bool)
@@ -90,51 +70,11 @@ type Frontend interface {
 	// DefaultBlocklist is the language's default irrelevant-command
 	// blocklist (nil when the language has none).
 	DefaultBlocklist() map[string]bool
-	// Capabilities reports the frontend's optional abilities.
-	Capabilities() Capabilities
 	// LayerPasses returns the passes of the per-layer fixpoint loop in
 	// order, honoring the run's ablation options.
 	LayerPasses(r *Run) []pipeline.Pass
 	// FinalPasses returns the once-only finishing passes.
 	FinalPasses(r *Run) []pipeline.Pass
-}
-
-// ValidityChecker is the optional capability hook for syntax
-// validation. Frontends with a cheaper-than-parse validity check
-// implement it; everyone else gets the Valid helper's parse-based
-// default.
-type ValidityChecker interface {
-	Valid(src string) bool
-}
-
-// Valid reports whether src is syntactically valid under fe, through
-// the ValidityChecker hook when implemented and a full Parse
-// otherwise.
-func Valid(fe Frontend, src string) bool {
-	if v, ok := fe.(ValidityChecker); ok {
-		return v.Valid(src)
-	}
-	_, err := fe.Parse(src)
-	return err == nil
-}
-
-// RecoverableDetector is the optional capability hook for
-// recoverable-node detection: given a parsed artifact, does the script
-// contain nodes the frontend's recovery pass could fold? Frontends
-// without the hook fall back to Capabilities().RecoverableNodes (the
-// static answer).
-type RecoverableDetector interface {
-	HasRecoverable(ast any) bool
-}
-
-// HasRecoverable reports whether ast contains recoverable nodes,
-// through the RecoverableDetector hook when implemented, with
-// Capabilities().RecoverableNodes as the default.
-func HasRecoverable(fe Frontend, ast any) bool {
-	if d, ok := fe.(RecoverableDetector); ok {
-		return d.HasRecoverable(ast)
-	}
-	return fe.Capabilities().RecoverableNodes
 }
 
 // Base provides conservative defaults for the optional parts of the
@@ -145,7 +85,7 @@ func HasRecoverable(fe Frontend, ast any) bool {
 type Base struct{}
 
 // Evaluate reports that the frontend has no evaluator.
-func (Base) Evaluate(ctx context.Context, snippet string, vars map[string]any, budget EvalBudget) (EvalResult, error) {
+func (Base) Evaluate(ctx context.Context, snippet string, vars map[string]any) (EvalResult, error) {
 	return EvalResult{}, ErrUnsupported
 }
 
@@ -172,9 +112,6 @@ func (Base) ValueSize(v any) int {
 
 // DefaultBlocklist reports no blocklist.
 func (Base) DefaultBlocklist() map[string]bool { return nil }
-
-// Capabilities reports no optional abilities.
-func (Base) Capabilities() Capabilities { return Capabilities{} }
 
 // FinalPasses reports no finishing passes.
 func (Base) FinalPasses(r *Run) []pipeline.Pass { return nil }

@@ -11,7 +11,7 @@ import (
 	"github.com/invoke-deobfuscation/invokedeob/internal/pipeline"
 )
 
-// stubFrontend is a minimal Frontend for registry and hook tests.
+// stubFrontend is a minimal Frontend for registry and default tests.
 type stubFrontend struct {
 	Base
 	name string
@@ -26,21 +26,6 @@ func (f stubFrontend) Parse(src string) (any, error) {
 	return &src, nil
 }
 func (f stubFrontend) LayerPasses(r *Run) []pipeline.Pass { return nil }
-
-// hookedFrontend additionally implements both capability hooks.
-type hookedFrontend struct {
-	stubFrontend
-	valid       bool
-	recoverable bool
-}
-
-func (f hookedFrontend) Valid(src string) bool       { return f.valid }
-func (f hookedFrontend) HasRecoverable(ast any) bool { return f.recoverable }
-func (f hookedFrontend) Capabilities() Capabilities {
-	// Deliberately the opposite of the hook's answer, to prove the hook
-	// wins over the static capability bit.
-	return Capabilities{RecoverableNodes: !f.recoverable}
-}
 
 func TestRegisterAndGet(t *testing.T) {
 	fe := stubFrontend{name: "stublang"}
@@ -110,7 +95,7 @@ func TestNormalizeAliases(t *testing.T) {
 
 func TestBaseDefaults(t *testing.T) {
 	fe := stubFrontend{name: "defaults"}
-	if _, err := fe.Evaluate(context.Background(), "x", nil, EvalBudget{}); !errors.Is(err, ErrUnsupported) {
+	if _, err := fe.Evaluate(context.Background(), "x", nil); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("Base.Evaluate err = %v, want ErrUnsupported", err)
 	}
 	if _, ok := fe.Render("v"); ok {
@@ -129,40 +114,8 @@ func TestBaseDefaults(t *testing.T) {
 	if fe.DefaultBlocklist() != nil {
 		t.Error("Base.DefaultBlocklist not nil")
 	}
-	if fe.Capabilities() != (Capabilities{}) {
-		t.Error("Base.Capabilities not zero")
-	}
 	if fe.FinalPasses(nil) != nil {
 		t.Error("Base.FinalPasses not nil")
-	}
-}
-
-func TestValidHookFallback(t *testing.T) {
-	plain := stubFrontend{name: "plain"}
-	// Without the hook, Valid falls back to Parse.
-	if !Valid(plain, "fine") {
-		t.Error("parse-based Valid rejected good input")
-	}
-	if Valid(plain, "INVALID") {
-		t.Error("parse-based Valid accepted bad input")
-	}
-	// With the hook, the hook's answer wins even when Parse disagrees.
-	hooked := hookedFrontend{stubFrontend: stubFrontend{name: "hooked"}, valid: false}
-	if Valid(hooked, "fine") {
-		t.Error("ValidityChecker hook was bypassed")
-	}
-}
-
-func TestHasRecoverableHookFallback(t *testing.T) {
-	// Without the hook: the static capability bit.
-	plain := stubFrontend{name: "plain"}
-	if HasRecoverable(plain, nil) {
-		t.Error("zero-capability frontend reported recoverable nodes")
-	}
-	// With the hook: the hook's per-AST answer wins over the bit.
-	hooked := hookedFrontend{stubFrontend: stubFrontend{name: "hooked"}, recoverable: true}
-	if !HasRecoverable(hooked, nil) {
-		t.Error("RecoverableDetector hook was bypassed")
 	}
 }
 

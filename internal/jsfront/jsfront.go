@@ -96,37 +96,6 @@ func (JS) Render(v any) (string, bool) {
 	return "", false
 }
 
-// Capabilities: static recovery only, no evaluator.
-func (JS) Capabilities() frontend.Capabilities {
-	return frontend.Capabilities{RecoverableNodes: true}
-}
-
-// HasRecoverable reports whether the parsed artifact contains any
-// pattern the decode pass could fold (the RecoverableDetector hook).
-func (JS) HasRecoverable(ast any) bool {
-	s, ok := ast.(*Script)
-	if !ok {
-		return false
-	}
-	for _, t := range s.Toks {
-		switch t.Type {
-		case Str:
-			if hasCodeEscape(t.Text) {
-				return true
-			}
-		case Ident:
-			if t.Text == "fromCharCode" || t.Text == "join" {
-				return true
-			}
-		case Punct:
-			if t.Text == "+" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // LayerPasses returns the fixpoint-loop passes: the one decode pass
 // (honoring the AST-phase ablation switch, which governs recovery
 // passes across frontends).

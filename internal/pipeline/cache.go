@@ -19,20 +19,15 @@
 // is tokenized and parsed at most once per run instead of once per
 // consumer.
 //
-// For serving workloads the cache is a striped tier: entries are
-// sharded by content hash across power-of-two independent shards
-// (each with its own lock and LRU list), so concurrent requests on a
-// many-core server contend on 1/N of the lock traffic instead of one
-// global mutex, and artifact computation is coalesced — concurrent
-// requests for the same (language, text) block on one computation
-// instead of racing duplicates through the parser.
+// For serving workloads the cache is shared across requests behind one
+// mutex, and artifact computation is coalesced — concurrent requests
+// for the same (language, text) block on one computation instead of
+// racing duplicates through the parser.
 package pipeline
 
 import (
 	"container/list"
 	"errors"
-	"hash/maphash"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -73,120 +68,67 @@ const (
 	maxCacheableText = 4 << 20
 )
 
-// Shard sizing. The shard count is a power of two scaled from
-// GOMAXPROCS (several stripes per core so two hot keys rarely share a
-// lock) and then scaled *down* until every shard keeps a useful
-// working set — a tiny cache degenerates to one shard, which behaves
-// exactly like the historical single-mutex cache.
-const (
-	// maxShards caps the stripe count regardless of core count.
-	maxShards = 256
-	// minShardEntries / minShardBytes are the smallest per-shard
-	// budgets worth striping; below them the shard count halves.
-	minShardEntries = 64
-	minShardBytes   = 64 << 10
-)
-
-// defaultShardCount returns the GOMAXPROCS-scaled power-of-two stripe
-// count before bound-scaling: 8 stripes per core, clamped to
-// [8, maxShards].
-func defaultShardCount() int {
-	n := 8
-	target := 8 * runtime.GOMAXPROCS(0)
-	for n < target && n < maxShards {
-		n <<= 1
-	}
-	return n
-}
-
-// shardCount resolves the effective stripe count for the given bounds:
-// requested (0 = default) rounded up to a power of two, capped at
-// maxShards, then halved until every shard holds at least
-// minShardEntries entries and minShardBytes bytes.
-func shardCount(requested, maxEntries int, maxBytes int64) int {
-	n := requested
-	if n <= 0 {
-		n = defaultShardCount()
-	} else {
-		p := 1
-		for p < n && p < maxShards {
-			p <<= 1
-		}
-		n = p
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	for n > 1 && (maxEntries/n < minShardEntries || maxBytes/int64(n) < minShardBytes) {
-		n >>= 1
-	}
-	return n
-}
-
-// hashSeed is the process-wide seed for content hashing. A fixed seed
-// per process is fine: buckets compare full text, so collisions cost
-// a chain walk, never a wrong answer.
-var hashSeed = maphash.MakeSeed()
-
-// hashKey hashes a (language, text) pair. The NUL separator keeps the
-// namespace unambiguous (language names never contain NUL).
-func hashKey(lang, text string) uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	h.WriteString(lang)
-	h.WriteByte(0)
-	h.WriteString(text)
-	return h.Sum64()
-}
-
-// CacheStats is a point-in-time snapshot of cache effectiveness.
+// CacheStats is a point-in-time snapshot of a parse or eval cache's
+// effectiveness.
 type CacheStats struct {
-	// Hits counts artifact requests answered from memory.
+	// Hits counts requests answered from memory (tokenizes, parses or
+	// interpreter runs saved).
 	Hits int64
-	// Misses counts artifact requests that had to tokenize or parse.
+	// Misses counts requests that had to tokenize, parse or evaluate.
 	Misses int64
+	// Skips counts evaluations that completed but were not cacheable
+	// (impure, oversized, or holding uncopyable values). A parse cache
+	// reports 0.
+	Skips int64
 	// Evictions counts entries dropped to stay within bounds.
 	Evictions int64
-	// Entries is the current number of cached texts.
+	// Entries is the current number of cached texts or results.
 	Entries int
-	// Bytes is the current total of cached source-text bytes.
+	// Bytes is the current total of cached bytes: source text for the
+	// parse cache, estimated retained size for the eval cache.
 	Bytes int64
-	// Shards is the number of independent lock stripes.
-	Shards int
 	// CoalescedWaits counts requests that blocked on another request's
-	// in-flight computation of the same artifact instead of computing a
-	// duplicate (the singleflight payoff).
+	// in-flight computation of the same artifact or evaluation instead
+	// of computing a duplicate (the singleflight payoff).
 	CoalescedWaits int64
 	// Warmed counts entries preloaded from a warm-restart snapshot.
 	Warmed int64
-	// WarmHits counts hits served by a snapshot-preloaded artifact —
-	// work a cold-started process would have had to redo.
+	// WarmHits counts hits served by a snapshot-preloaded entry — work
+	// a cold-started process would have had to redo.
 	WarmHits int64
 }
 
-// HitRate returns Hits / (Hits + Misses), or 0 with no traffic. Serving
-// frontends surface this per scrape; because Stats() snapshots each
-// shard's counters under its lock, the ratio is internally consistent
-// even while concurrent requests keep hitting the cache.
+// HitRate returns Hits / (Hits + Misses), or 0 with no traffic. Skips
+// are excluded: an uncacheable evaluation is not a cache miss, it was
+// never a candidate. Stats() snapshots the counters under the cache's
+// lock, so the ratio is internally consistent even while concurrent
+// requests keep hitting the cache.
 func (s CacheStats) HitRate() float64 {
-	if total := s.Hits + s.Misses; total > 0 {
-		return float64(s.Hits) / float64(total)
-	}
-	return 0
+	return hitRate(s.Hits, s.Misses)
 }
 
 // LangCacheStats is the per-language slice of a cache's traffic,
 // reported by LangStats so serving frontends can attribute hit rates
 // to frontends without conflating mixed-language traffic.
 type LangCacheStats struct {
-	// Hits / Misses count this language's artifact requests only.
-	Hits, Misses int64
+	// Hits / Misses / Skips count this language's requests only.
+	Hits, Misses, Skips int64
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 with no traffic.
 func (s LangCacheStats) HitRate() float64 {
-	if total := s.Hits + s.Misses; total > 0 {
-		return float64(s.Hits) / float64(total)
+	return hitRate(s.Hits, s.Misses)
+}
+
+func (s *LangCacheStats) add(d LangCacheStats) {
+	s.Hits += d.Hits
+	s.Misses += d.Misses
+	s.Skips += d.Skips
+}
+
+func hitRate(hits, misses int64) float64 {
+	if total := hits + misses; total > 0 {
+		return float64(hits) / float64(total)
 	}
 	return 0
 }
@@ -227,8 +169,8 @@ type cacheEntry struct {
 	tok artifactSlot
 	ast artifactSlot
 
-	// elem is the entry's node in its shard's LRU list (guarded by the
-	// shard lock, not e.mu).
+	// elem is the entry's node in the cache's LRU list (guarded by
+	// Cache.mu, not e.mu).
 	elem *list.Element
 }
 
@@ -342,47 +284,20 @@ func (e *cacheEntry) preload(slot *artifactSlot, compute func() (any, error)) bo
 	return true
 }
 
-// cacheShard is one independent stripe: its own lock, hash buckets,
-// LRU list, byte budget and counters. Entries never migrate between
-// shards (the content hash pins them), so every per-text invariant —
-// memoize-once, per-language stats, LRU recency — holds per shard.
-type cacheShard struct {
-	mu         sync.Mutex
-	maxEntries int
-	maxBytes   int64
-	bytes      int64
-	buckets    map[uint64][]*cacheEntry
-	lru        *list.List // front = most recently used
-
-	hits, misses, evictions int64
-	perLang                 map[string]*LangCacheStats
-}
-
-func newCacheShard(maxEntries int, maxBytes int64) *cacheShard {
-	return &cacheShard{
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		buckets:    make(map[uint64][]*cacheEntry),
-		lru:        list.New(),
-		perLang:    make(map[string]*LangCacheStats),
-	}
-}
-
 // Cache is a bounded, thread-safe memoization of tokenize/parse results
-// keyed by content hash over (language, text) — verified against both,
-// so hash collisions degrade to misses, never wrong answers, and the
-// same bytes cached for one language are invisible to another. One
-// Cache serves one deobfuscation run, or — in batch and server mode —
-// is shared by all workers so identical layers across scripts parse
-// once per language.
+// keyed by (language, text), so the same bytes cached for one language
+// are invisible to another. One Cache serves one deobfuscation run, or
+// — in batch and server mode — is shared by all workers so identical
+// layers across scripts parse once per language.
 //
-// Internally the cache is striped across power-of-two shards selected
-// by content hash, each with per-shard LRU eviction, and artifact
-// computation is singleflight-coalesced per entry; see the package
-// comment.
+// One mutex guards the index, the LRU list and the counters; it is
+// held only for map and list updates, never while an artifact is
+// computed. Artifact computation is singleflight-coalesced per entry;
+// see the package comment.
 type Cache struct {
-	shards    []*cacheShard
-	shardMask uint64
+	mu      sync.Mutex
+	entries map[key]*cacheEntry
+	lru     *lru[*cacheEntry]
 
 	coalescedWaits atomic.Int64
 	warmed         atomic.Int64
@@ -390,116 +305,54 @@ type Cache struct {
 }
 
 // NewCache returns a Cache bounded by maxEntries texts and maxBytes of
-// cached source, striped across the default GOMAXPROCS-scaled shard
-// count. Non-positive arguments select the defaults.
+// cached source, both across the whole cache. Non-positive arguments
+// select the defaults.
 func NewCache(maxEntries int, maxBytes int64) *Cache {
-	return NewCacheSharded(maxEntries, maxBytes, 0)
-}
-
-// NewCacheSharded is NewCache with an explicit shard count: rounded up
-// to a power of two, capped at 256, and scaled down until each shard's
-// slice of the entry/byte budget stays useful. shards <= 0 selects the
-// GOMAXPROCS-scaled default; shards == 1 reproduces the historical
-// single-mutex cache (the benchmark baseline).
-func NewCacheSharded(maxEntries int, maxBytes int64, shards int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
 	}
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	n := shardCount(shards, maxEntries, maxBytes)
-	c := &Cache{
-		shards:    make([]*cacheShard, n),
-		shardMask: uint64(n - 1),
-	}
-	perEntries := maxEntries / n
-	if perEntries < 1 {
-		perEntries = 1
-	}
-	perBytes := maxBytes / int64(n)
-	if perBytes < 1 {
-		perBytes = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = newCacheShard(perEntries, perBytes)
-	}
+	c := &Cache{entries: make(map[key]*cacheEntry)}
+	c.lru = newLRU(maxEntries, maxBytes, func(victim *cacheEntry) {
+		delete(c.entries, key{victim.lang, victim.text})
+	})
 	return c
 }
-
-// shard returns the stripe owning key.
-func (c *Cache) shard(key uint64) *cacheShard { return c.shards[key&c.shardMask] }
-
-// ShardCount reports the number of lock stripes.
-func (c *Cache) ShardCount() int { return len(c.shards) }
 
 // lookup returns the entry for (lang, text), creating (and bounding) it
 // as needed, and bumps it to most-recently-used. A nil return means the
 // text is too large to cache.
-func (c *Cache) lookup(lang, text string, key uint64) *cacheEntry {
+func (c *Cache) lookup(lang, text string) *cacheEntry {
 	if len(text) > maxCacheableText {
 		return nil
 	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, e := range sh.buckets[key] {
-		if e.lang == lang && e.text == text {
-			sh.lru.MoveToFront(e.elem)
-			return e
-		}
+	k := key{lang, text}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.entries[k]; e != nil {
+		c.lru.touch(e.elem)
+		return e
 	}
 	e := &cacheEntry{lang: lang, text: text}
-	sh.buckets[key] = append(sh.buckets[key], e)
-	e.elem = sh.lru.PushFront(e)
-	sh.bytes += int64(len(text))
-	for (sh.lru.Len() > sh.maxEntries || sh.bytes > sh.maxBytes) && sh.lru.Len() > 1 {
-		sh.evictOldestLocked()
-	}
+	c.entries[k] = e
+	e.elem = c.lru.push(e, int64(len(text)))
 	return e
 }
 
-// evictOldestLocked drops the least-recently-used entry. Callers hold
-// sh.mu.
-func (sh *cacheShard) evictOldestLocked() {
-	back := sh.lru.Back()
-	if back == nil {
-		return
-	}
-	victim := sh.lru.Remove(back).(*cacheEntry)
-	key := hashKey(victim.lang, victim.text)
-	bucket := sh.buckets[key]
-	for i, e := range bucket {
-		if e == victim {
-			sh.buckets[key] = append(bucket[:i], bucket[i+1:]...)
-			break
-		}
-	}
-	if len(sh.buckets[key]) == 0 {
-		delete(sh.buckets, key)
-	}
-	sh.bytes -= int64(len(victim.text))
-	sh.evictions++
-}
-
-// record folds a hit/miss observation into the owning shard's global
-// and per-language counters.
-func (c *Cache) record(lang string, key uint64, hit bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	ls := sh.perLang[lang]
-	if ls == nil {
-		ls = &LangCacheStats{}
-		sh.perLang[lang] = ls
-	}
+// record folds a hit/miss observation into the global and
+// per-language counters.
+func (c *Cache) record(lang string, hit bool) {
+	var d LangCacheStats
 	if hit {
-		sh.hits++
-		ls.Hits++
+		d.Hits = 1
 	} else {
-		sh.misses++
-		ls.Misses++
+		d.Misses = 1
 	}
-	sh.mu.Unlock()
+	c.mu.Lock()
+	c.lru.count(lang, d)
+	c.mu.Unlock()
 }
 
 // Tokenize returns the (possibly memoized) token artifact of src under
@@ -515,17 +368,16 @@ func (c *Cache) tokenize(l Lang, src string) (any, error, bool) {
 		return nil, ErrNoLang, false
 	}
 	lang := l.Name()
-	key := hashKey(lang, src)
-	e := c.lookup(lang, src, key)
+	e := c.lookup(lang, src)
 	if e == nil {
 		toks, err := l.Tokenize(src)
-		c.record(lang, key, false)
+		c.record(lang, false)
 		return toks, err, false
 	}
 	toks, err, hit, warm := e.artifact(&e.tok,
 		func() (any, error) { return l.Tokenize(e.text) },
 		func() { c.coalescedWaits.Add(1) })
-	c.record(lang, key, hit)
+	c.record(lang, hit)
 	if hit && warm {
 		c.warmHits.Add(1)
 	}
@@ -547,17 +399,16 @@ func (c *Cache) parse(l Lang, src string) (any, error, bool) {
 		return nil, ErrNoLang, false
 	}
 	lang := l.Name()
-	key := hashKey(lang, src)
-	e := c.lookup(lang, src, key)
+	e := c.lookup(lang, src)
 	if e == nil {
 		sb, err := l.Parse(src)
-		c.record(lang, key, false)
+		c.record(lang, false)
 		return sb, err, false
 	}
 	sb, err, hit, warm := e.artifact(&e.ast,
 		func() (any, error) { return l.Parse(e.text) },
 		func() { c.coalescedWaits.Add(1) })
-	c.record(lang, key, hit)
+	c.record(lang, hit)
 	if hit && warm {
 		c.warmHits.Add(1)
 	}
@@ -580,8 +431,7 @@ func (c *Cache) Preload(l Lang, text string) bool {
 	if l == nil || len(text) > maxCacheableText {
 		return false
 	}
-	lang := l.Name()
-	e := c.lookup(lang, text, hashKey(lang, text))
+	e := c.lookup(l.Name(), text)
 	if e == nil {
 		return false
 	}
@@ -609,8 +459,7 @@ func (c *Cache) Insert(l Lang, text string, tokens, ast any) bool {
 	if l == nil {
 		return false
 	}
-	lang := l.Name()
-	e := c.lookup(lang, text, hashKey(lang, text))
+	e := c.lookup(l.Name(), text)
 	if e == nil {
 		return false
 	}
@@ -633,83 +482,40 @@ type SnapshotEntry struct {
 	Text string
 }
 
-// SnapshotTexts returns every cached (language, text) pair, oldest
-// first per shard, for warm-restart persistence. Re-inserting in the
-// returned order approximately reproduces the LRU recency order.
+// SnapshotTexts returns every cached (language, text) pair, least
+// recently used first, for warm-restart persistence. Re-inserting in
+// the returned order reproduces the LRU recency order.
 func (c *Cache) SnapshotTexts() []SnapshotEntry {
-	var out []SnapshotEntry
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for el := sh.lru.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*cacheEntry)
-			out = append(out, SnapshotEntry{Lang: e.lang, Text: e.text})
-		}
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]SnapshotEntry, 0, len(c.entries))
+	c.lru.oldestFirst(func(e *cacheEntry) {
+		out = append(out, SnapshotEntry{Lang: e.lang, Text: e.text})
+	})
 	return out
 }
 
-// Stats snapshots the cache counters, summed across shards.
+// Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
-	st := CacheStats{
-		Shards:         len(c.shards),
-		CoalescedWaits: c.coalescedWaits.Load(),
-		Warmed:         c.warmed.Load(),
-		WarmHits:       c.warmHits.Load(),
-	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Evictions += sh.evictions
-		st.Entries += sh.lru.Len()
-		st.Bytes += sh.bytes
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	st := c.lru.stats()
+	c.mu.Unlock()
+	st.CoalescedWaits, st.Warmed, st.WarmHits = c.coalescedWaits.Load(), c.warmed.Load(), c.warmHits.Load()
 	return st
 }
 
-// ShardOccupancy reports the current entry count of every shard, in
-// shard order — the /statsz surface for spotting skewed stripes.
-func (c *Cache) ShardOccupancy() []int {
-	out := make([]int, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		out[i] = sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// LangStats snapshots the per-language hit/miss counters, summed
-// across shards. Because every (language, text) key lives in exactly
-// one shard and each observation lands in that shard's counter, the
-// summed per-language hit rates are exactly the single-mutex
-// semantics.
+// LangStats snapshots the per-language hit/miss counters.
 func (c *Cache) LangStats() map[string]LangCacheStats {
-	out := make(map[string]LangCacheStats)
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for lang, ls := range sh.perLang {
-			agg := out[lang]
-			agg.Hits += ls.Hits
-			agg.Misses += ls.Misses
-			out[lang] = agg
-		}
-		sh.mu.Unlock()
-	}
-	return out
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.langStats()
 }
 
 // Entries reports the number of distinct cached (language, text) pairs.
 func (c *Cache) Entries() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
 // View returns a per-run accounting view of the cache bound to one

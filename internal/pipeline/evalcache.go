@@ -65,106 +65,22 @@ type evalEntry struct {
 	lang     string
 	bindings []Binding
 	values   []any
-	bytes    int64 // retained-size share charged to the cache budget
 	snippet  string
 	// warm marks an entry preloaded from a warm-restart snapshot; hits
 	// on it are counted separately as WarmHits.
 	warm bool
-	// elem is the entry's node in its shard's LRU list (guarded by the
-	// shard lock).
+	// elem is the entry's node in the cache's LRU list (guarded by
+	// EvalCache.mu).
 	elem *list.Element
 }
 
-// EvalCacheStats is a point-in-time snapshot of eval-cache
-// effectiveness.
-type EvalCacheStats struct {
-	// Hits counts lookups answered from memory (interpreter runs saved).
-	Hits int64
-	// Misses counts lookups that had to evaluate.
-	Misses int64
-	// Skips counts evaluations that completed but were not cacheable
-	// (impure, oversized, or holding uncopyable values).
-	Skips int64
-	// Evictions counts entries dropped to stay within bounds.
-	Evictions int64
-	// Entries is the current number of cached results.
-	Entries int
-	// Bytes is the current estimated retained size.
-	Bytes int64
-	// Shards is the number of independent lock stripes.
-	Shards int
-	// CoalescedWaits counts evaluations that blocked on another run's
-	// in-flight evaluation of the same snippet instead of racing a
-	// duplicate through the interpreter.
-	CoalescedWaits int64
-	// Warmed counts entries preloaded from a warm-restart snapshot.
-	Warmed int64
-	// WarmHits counts hits served by snapshot-preloaded entries.
-	WarmHits int64
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 with no traffic. Skips
-// are excluded: an uncacheable evaluation is not a cache miss, it was
-// never a candidate.
-func (s EvalCacheStats) HitRate() float64 {
-	if total := s.Hits + s.Misses; total > 0 {
-		return float64(s.Hits) / float64(total)
-	}
-	return 0
-}
-
-// LangEvalStats is the per-language slice of an eval cache's traffic.
-type LangEvalStats struct {
-	// Hits / Misses / Skips count this language's evaluations only.
-	Hits, Misses, Skips int64
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 with no traffic.
-func (s LangEvalStats) HitRate() float64 {
-	if total := s.Hits + s.Misses; total > 0 {
-		return float64(s.Hits) / float64(total)
-	}
-	return 0
-}
-
-// evalShard is one independent stripe of the eval cache: its own lock,
-// buckets, LRU list, byte budget and counters.
-type evalShard struct {
-	mu         sync.Mutex
-	maxEntries int
-	maxBytes   int64
-	bytes      int64
-	buckets    map[uint64][]*evalEntry
-	lru        *list.List // front = most recently used
-
-	hits, misses, skips, evictions int64
-	perLang                        map[string]*LangEvalStats
-}
-
-func newEvalShard(maxEntries int, maxBytes int64) *evalShard {
-	return &evalShard{
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		buckets:    make(map[uint64][]*evalEntry),
-		lru:        list.New(),
-		perLang:    make(map[string]*LangEvalStats),
-	}
-}
-
-// evalFlightKey identifies one in-flight evaluation for coalescing.
-// Coalescing is keyed on (language, snippet) alone — the environment
-// fingerprint is only discovered *during* evaluation (the read-set is
-// an output, not an input), so followers wait for the leader and then
-// re-check the cache under their own visible bindings; a binding
-// mismatch simply promotes the follower to the next leader.
-type evalFlightKey struct {
-	lang    string
-	snippet string
-}
-
-// evalFlight is one in-flight evaluation; done is closed when the
-// leader resolves (insert, skip or abort), after which followers
-// re-lookup.
+// evalFlight is one in-flight evaluation. Coalescing is keyed on
+// (language, snippet) alone — the environment fingerprint is only
+// discovered *during* evaluation (the read-set is an output, not an
+// input), so followers wait for the leader and then re-check the cache
+// under their own visible bindings; a binding mismatch simply promotes
+// the follower to the next leader. done is closed when the leader
+// resolves (insert, skip or abort), after which followers re-lookup.
 type evalFlight struct {
 	done chan struct{}
 }
@@ -173,11 +89,10 @@ type evalFlight struct {
 // evaluations, keyed by language plus exact snippet text plus the
 // environment fingerprint (the sorted set of preloaded variables the
 // run read and their values). It is the evaluation-phase sibling of
-// the parse Cache: bounded (per-shard LRU over both an entry count and
-// a byte budget), safe for concurrent batch workers, and observed
-// through per-run EvalViews so trace attribution stays exact. Like the
-// parse cache it is striped by content hash across power-of-two
-// shards, and Acquire coalesces concurrent evaluations of the same
+// the parse Cache: bounded (whole-cache LRU over both an entry count
+// and a byte budget), safe for concurrent batch workers behind one
+// mutex, and observed through per-run EvalViews so trace attribution
+// stays exact. Acquire coalesces concurrent evaluations of the same
 // (language, snippet) so a wave of identical scripts costs one
 // interpreter run.
 //
@@ -189,11 +104,13 @@ type evalFlight struct {
 // on every hit, so a splice that later mutates a returned slice can
 // never corrupt the cache or another run.
 type EvalCache struct {
-	shards    []*evalShard
-	shardMask uint64
-
-	flightMu sync.Mutex
-	flights  map[evalFlightKey]*evalFlight
+	// mu guards chains, lru and flights.
+	mu sync.Mutex
+	// chains maps (language, snippet) to its cached binding sets, at
+	// most maxEntriesPerSnippet of them.
+	chains  map[key][]*evalEntry
+	lru     *lru[*evalEntry]
+	flights map[key]*evalFlight
 
 	coalescedWaits atomic.Int64
 	warmed         atomic.Int64
@@ -201,58 +118,24 @@ type EvalCache struct {
 }
 
 // NewEvalCache returns an EvalCache bounded by maxEntries results and
-// maxBytes of retained data, striped across the default
-// GOMAXPROCS-scaled shard count. Non-positive bounds select the
-// defaults. Value copying and sizing are supplied per view
-// (EvalCache.View), so one shared cache can serve several language
-// frontends.
+// maxBytes of retained data, both across the whole cache. Non-positive
+// bounds select the defaults. Value copying and sizing are supplied
+// per view (EvalCache.View), so one shared cache can serve several
+// language frontends.
 func NewEvalCache(maxEntries int, maxBytes int64) *EvalCache {
-	return NewEvalCacheSharded(maxEntries, maxBytes, 0)
-}
-
-// NewEvalCacheSharded is NewEvalCache with an explicit shard count
-// (same resolution rules as NewCacheSharded; 1 reproduces the
-// historical single-mutex cache).
-func NewEvalCacheSharded(maxEntries int, maxBytes int64, shards int) *EvalCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultEvalMaxEntries
 	}
 	if maxBytes <= 0 {
 		maxBytes = DefaultEvalMaxBytes
 	}
-	n := shardCount(shards, maxEntries, maxBytes)
 	c := &EvalCache{
-		shards:    make([]*evalShard, n),
-		shardMask: uint64(n - 1),
-		flights:   make(map[evalFlightKey]*evalFlight),
+		chains:  make(map[key][]*evalEntry),
+		flights: make(map[key]*evalFlight),
 	}
-	perEntries := maxEntries / n
-	if perEntries < 1 {
-		perEntries = 1
-	}
-	perBytes := maxBytes / int64(n)
-	if perBytes < 1 {
-		perBytes = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = newEvalShard(perEntries, perBytes)
-	}
+	c.lru = newLRU(maxEntries, maxBytes, c.unchain)
 	return c
 }
-
-// shard returns the stripe owning key.
-func (c *EvalCache) shard(key uint64) *evalShard { return c.shards[key&c.shardMask] }
-
-// statsShard returns the stripe that accumulates a language's
-// view-level hit/miss/skip observations (stable per language; Stats
-// and LangStats sum across shards, so placement is an implementation
-// detail).
-func (c *EvalCache) statsShard(lang string) *evalShard {
-	return c.shards[hashKey(lang, "")&c.shardMask]
-}
-
-// ShardCount reports the number of lock stripes.
-func (c *EvalCache) ShardCount() int { return len(c.shards) }
 
 // lookup finds a cached result for (lang, snippet) whose recorded
 // bindings all match the currently visible values, returning deep
@@ -262,15 +145,13 @@ func (c *EvalCache) lookup(ops EvalOps, snippet string, visible func(name string
 	if len(snippet) > maxCacheableSnippet {
 		return nil, false, false
 	}
-	lang := ops.Name()
-	key := hashKey(lang, snippet)
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, e := range sh.buckets[key] {
-		if e.lang != lang || e.snippet != snippet {
-			continue
-		}
+	// Entries are immutable and unchain never writes a published
+	// chain, so the match and the copies run outside the lock: the
+	// caller's visible func and deep copies never hold up other runs.
+	c.mu.Lock()
+	chain := c.chains[key{ops.Name(), snippet}]
+	c.mu.Unlock()
+	for _, e := range chain {
 		if !bindingsMatch(e.bindings, visible) {
 			continue
 		}
@@ -280,7 +161,9 @@ func (c *EvalCache) lookup(ops EvalOps, snippet string, visible func(name string
 			// degrade to a miss rather than trust it.
 			continue
 		}
-		sh.lru.MoveToFront(e.elem)
+		c.mu.Lock()
+		c.lru.touch(e.elem) // a no-op if e was evicted meanwhile
+		c.mu.Unlock()
 		return out, e.warm, true
 	}
 	return nil, false, false
@@ -329,7 +212,7 @@ func (c *EvalCache) insert(ops EvalOps, snippet string, bindings []Binding, valu
 func (c *EvalCache) insertEntry(ops EvalOps, snippet string, bindings []Binding, values []any, warm bool) bool {
 	lang := ops.Name()
 	if len(snippet) > maxCacheableSnippet {
-		c.recordSkip(lang)
+		c.count(lang, LangCacheStats{Skips: 1})
 		return false
 	}
 	var size int64 = int64(len(lang)+len(snippet)) + 64
@@ -345,42 +228,50 @@ func (c *EvalCache) insertEntry(ops EvalOps, snippet string, bindings []Binding,
 		for i, v := range values {
 			cp, ok := ops.CopyValue(v)
 			if !ok {
-				c.recordSkip(lang)
+				c.count(lang, LangCacheStats{Skips: 1})
 				return false
 			}
 			stored[i] = cp
 			size += int64(ops.ValueSize(v))
 		}
 	}
-	key := hashKey(lang, snippet)
-	e := &evalEntry{lang: lang, snippet: snippet, bindings: bindings, values: stored, bytes: size, warm: warm}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	k := key{lang, snippet}
+	e := &evalEntry{lang: lang, snippet: snippet, bindings: bindings, values: stored, warm: warm}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	// Dedup: a concurrent worker may have inserted the same result
 	// already; cap per-snippet chains so one text cannot monopolize.
-	same := 0
-	for _, old := range sh.buckets[key] {
-		if old.lang != lang || old.snippet != snippet {
-			continue
-		}
-		same++
+	chain := c.chains[k]
+	for _, old := range chain {
 		if equalBindings(old.bindings, bindings) {
 			return true // already cached
 		}
 	}
-	if same >= maxEntriesPerSnippet {
-		sh.skips++
-		sh.langStatsLocked(lang).Skips++
+	if len(chain) >= maxEntriesPerSnippet {
+		c.lru.count(lang, LangCacheStats{Skips: 1})
 		return false
 	}
-	sh.buckets[key] = append(sh.buckets[key], e)
-	e.elem = sh.lru.PushFront(e)
-	sh.bytes += size
-	for (sh.lru.Len() > sh.maxEntries || sh.bytes > sh.maxBytes) && sh.lru.Len() > 1 {
-		sh.evictOldestLocked()
-	}
+	c.chains[k] = append(chain, e)
+	e.elem = c.lru.push(e, size)
 	return true
+}
+
+// unchain removes an evicted entry from its snippet's chain. It builds
+// a new chain rather than shifting the old one in place, because
+// lookup reads published chains without the lock. Callers hold c.mu.
+func (c *EvalCache) unchain(victim *evalEntry) {
+	k := key{victim.lang, victim.snippet}
+	var rest []*evalEntry
+	for _, e := range c.chains[k] {
+		if e != victim {
+			rest = append(rest, e)
+		}
+	}
+	if len(rest) == 0 {
+		delete(c.chains, k)
+	} else {
+		c.chains[k] = rest
+	}
 }
 
 func equalBindings(a, b []Binding) bool {
@@ -395,46 +286,11 @@ func equalBindings(a, b []Binding) bool {
 	return true
 }
 
-// evictOldestLocked drops the least-recently-used entry. Callers hold
-// sh.mu.
-func (sh *evalShard) evictOldestLocked() {
-	back := sh.lru.Back()
-	if back == nil {
-		return
-	}
-	victim := sh.lru.Remove(back).(*evalEntry)
-	key := hashKey(victim.lang, victim.snippet)
-	bucket := sh.buckets[key]
-	for i, e := range bucket {
-		if e == victim {
-			sh.buckets[key] = append(bucket[:i], bucket[i+1:]...)
-			break
-		}
-	}
-	if len(sh.buckets[key]) == 0 {
-		delete(sh.buckets, key)
-	}
-	sh.bytes -= victim.bytes
-	sh.evictions++
-}
-
-// langStatsLocked returns the per-language counter, creating it as
-// needed. Callers hold sh.mu.
-func (sh *evalShard) langStatsLocked(lang string) *LangEvalStats {
-	ls := sh.perLang[lang]
-	if ls == nil {
-		ls = &LangEvalStats{}
-		sh.perLang[lang] = ls
-	}
-	return ls
-}
-
-func (c *EvalCache) recordSkip(lang string) {
-	sh := c.statsShard(lang)
-	sh.mu.Lock()
-	sh.skips++
-	sh.langStatsLocked(lang).Skips++
-	sh.mu.Unlock()
+// count folds one language's observations into the cache's counters.
+func (c *EvalCache) count(lang string, d LangCacheStats) {
+	c.mu.Lock()
+	c.lru.count(lang, d)
+	c.mu.Unlock()
 }
 
 // PreloadEval inserts a snapshot-derived zero-binding result, flagged
@@ -454,72 +310,36 @@ func (c *EvalCache) PreloadEval(ops EvalOps, snippet string, values []any) bool 
 }
 
 // SnapshotSnippets returns the (language, snippet) pairs of every
-// cached zero-binding result, oldest first per shard, for warm-restart
-// persistence. Entries with binding fingerprints are excluded: their
-// replay depends on an environment the snapshot does not carry.
+// cached zero-binding result, least recently used first, for
+// warm-restart persistence. Entries with binding fingerprints are
+// excluded: their replay depends on an environment the snapshot does
+// not carry.
 func (c *EvalCache) SnapshotSnippets() []SnapshotEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var out []SnapshotEntry
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for el := sh.lru.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*evalEntry)
-			if len(e.bindings) == 0 {
-				out = append(out, SnapshotEntry{Lang: e.lang, Text: e.snippet})
-			}
+	c.lru.oldestFirst(func(e *evalEntry) {
+		if len(e.bindings) == 0 {
+			out = append(out, SnapshotEntry{Lang: e.lang, Text: e.snippet})
 		}
-		sh.mu.Unlock()
-	}
+	})
 	return out
 }
 
-// Stats snapshots the eval-cache counters, summed across shards.
-func (c *EvalCache) Stats() EvalCacheStats {
-	st := EvalCacheStats{
-		Shards:         len(c.shards),
-		CoalescedWaits: c.coalescedWaits.Load(),
-		Warmed:         c.warmed.Load(),
-		WarmHits:       c.warmHits.Load(),
-	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Skips += sh.skips
-		st.Evictions += sh.evictions
-		st.Entries += sh.lru.Len()
-		st.Bytes += sh.bytes
-		sh.mu.Unlock()
-	}
+// Stats snapshots the eval-cache counters.
+func (c *EvalCache) Stats() CacheStats {
+	c.mu.Lock()
+	st := c.lru.stats()
+	c.mu.Unlock()
+	st.CoalescedWaits, st.Warmed, st.WarmHits = c.coalescedWaits.Load(), c.warmed.Load(), c.warmHits.Load()
 	return st
 }
 
-// ShardOccupancy reports the current entry count of every shard.
-func (c *EvalCache) ShardOccupancy() []int {
-	out := make([]int, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		out[i] = sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// LangStats snapshots the per-language hit/miss/skip counters, summed
-// across shards.
-func (c *EvalCache) LangStats() map[string]LangEvalStats {
-	out := make(map[string]LangEvalStats)
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for lang, ls := range sh.perLang {
-			agg := out[lang]
-			agg.Hits += ls.Hits
-			agg.Misses += ls.Misses
-			agg.Skips += ls.Skips
-			out[lang] = agg
-		}
-		sh.mu.Unlock()
-	}
-	return out
+// LangStats snapshots the per-language hit/miss/skip counters.
+func (c *EvalCache) LangStats() map[string]LangCacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.langStats()
 }
 
 // View returns a per-run accounting window onto the shared cache bound
@@ -556,12 +376,7 @@ func (v *EvalView) Cache() *EvalCache {
 
 func (v *EvalView) recordHit(warm bool) {
 	v.Hits++
-	lang := v.ops.Name()
-	sh := v.c.statsShard(lang)
-	sh.mu.Lock()
-	sh.hits++
-	sh.langStatsLocked(lang).Hits++
-	sh.mu.Unlock()
+	v.c.count(v.ops.Name(), LangCacheStats{Hits: 1})
 	if warm {
 		v.c.warmHits.Add(1)
 	}
@@ -612,21 +427,21 @@ func (v *EvalView) Acquire(ctx context.Context, snippet string, visible func(nam
 		// a flight nothing can resolve into a hit; evaluate directly.
 		return nil, false, &EvalTicket{v: v, snippet: snippet}
 	}
-	key := evalFlightKey{lang: v.ops.Name(), snippet: snippet}
+	k := key{v.ops.Name(), snippet}
 	for {
 		if out, warm, ok := v.c.lookup(v.ops, snippet, visible); ok {
 			v.recordHit(warm)
 			return out, true, nil
 		}
-		v.c.flightMu.Lock()
-		f := v.c.flights[key]
+		v.c.mu.Lock()
+		f := v.c.flights[k]
 		if f == nil {
 			f = &evalFlight{done: make(chan struct{})}
-			v.c.flights[key] = f
-			v.c.flightMu.Unlock()
-			return nil, false, &EvalTicket{v: v, snippet: snippet, key: key, flight: f}
+			v.c.flights[k] = f
+			v.c.mu.Unlock()
+			return nil, false, &EvalTicket{v: v, snippet: snippet, key: k, flight: f}
 		}
-		v.c.flightMu.Unlock()
+		v.c.mu.Unlock()
 		v.c.coalescedWaits.Add(1)
 		select {
 		case <-f.done:
@@ -646,12 +461,7 @@ func (v *EvalView) Insert(snippet string, bindings []Binding, values []any) {
 		return
 	}
 	v.Misses++
-	lang := v.ops.Name()
-	sh := v.c.statsShard(lang)
-	sh.mu.Lock()
-	sh.misses++
-	sh.langStatsLocked(lang).Misses++
-	sh.mu.Unlock()
+	v.c.count(v.ops.Name(), LangCacheStats{Misses: 1})
 	v.c.insert(v.ops, snippet, bindings, values)
 }
 
@@ -662,12 +472,7 @@ func (v *EvalView) Skip() {
 		return
 	}
 	v.Skips++
-	lang := v.ops.Name()
-	sh := v.c.statsShard(lang)
-	sh.mu.Lock()
-	sh.skips++
-	sh.langStatsLocked(lang).Skips++
-	sh.mu.Unlock()
+	v.c.count(v.ops.Name(), LangCacheStats{Skips: 1})
 }
 
 // EvalTicket is the resolution handle Acquire hands a leader (or a
@@ -680,7 +485,7 @@ func (v *EvalView) Skip() {
 type EvalTicket struct {
 	v       *EvalView
 	snippet string
-	key     evalFlightKey
+	key     key
 	flight  *evalFlight
 	done    bool
 }
@@ -697,11 +502,11 @@ func (t *EvalTicket) resolve() {
 	if t.flight == nil {
 		return
 	}
-	t.v.c.flightMu.Lock()
+	t.v.c.mu.Lock()
 	if t.v.c.flights[t.key] == t.flight {
 		delete(t.v.c.flights, t.key)
 	}
-	t.v.c.flightMu.Unlock()
+	t.v.c.mu.Unlock()
 	close(t.flight.done)
 }
 

@@ -244,30 +244,42 @@ func TestEvalViewNilReceiverSafe(t *testing.T) {
 	}
 }
 
+// TestEvalCacheConcurrent runs lookups and inserts from several
+// workers, on a cache roomy enough to hold every result and on one so
+// small that evictions constantly rewrite the chains being read.
 func TestEvalCacheConcurrent(t *testing.T) {
-	c := NewEvalCache(64, 0)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			v := c.View(testOps()) // each worker owns its view, like batch runs
-			for i := 0; i < 200; i++ {
-				snippet := fmt.Sprintf("s%d", i%16)
-				env := fpOf(map[string]string{"a": "i:1"})
-				if out, ok := v.Lookup(snippet, env); ok {
-					if out[0] != snippet {
-						t.Errorf("worker %d: wrong value %v for %s", w, out[0], snippet)
+	for _, tc := range []struct{ maxEntries, snippets int }{{64, 16}, {4, 2}} {
+		c := NewEvalCache(tc.maxEntries, 0)
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				v := c.View(testOps()) // each worker owns its view, like batch runs
+				fp := fmt.Sprintf("i:%d", w%3)
+				for i := 0; i < 200; i++ {
+					snippet := fmt.Sprintf("s%d", i%tc.snippets)
+					want := snippet + "/" + fp
+					env := fpOf(map[string]string{"a": fp})
+					if out, ok := v.Lookup(snippet, env); ok {
+						if out[0] != want {
+							t.Errorf("worker %d: wrong value %v for %s, want %s", w, out[0], snippet, want)
+						}
+						continue
 					}
-					continue
+					v.Insert(snippet, []Binding{{"a", fp}}, []any{want})
 				}
-				v.Insert(snippet, []Binding{{"a", "i:1"}}, []any{snippet})
-			}
-		}(w)
-	}
-	wg.Wait()
-	st := c.Stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Errorf("no traffic recorded: %+v", st)
+			}(w)
+		}
+		wg.Wait()
+		st := c.Stats()
+		if st.Misses == 0 {
+			t.Errorf("maxEntries %d: no traffic recorded: %+v", tc.maxEntries, st)
+		}
+		// The roomy cache must serve hits; the tiny one, cycling 6
+		// results through 4 slots, must have evicted under the readers.
+		if tc.maxEntries == 64 && st.Hits == 0 || tc.maxEntries == 4 && st.Evictions == 0 {
+			t.Errorf("maxEntries %d: %+v", tc.maxEntries, st)
+		}
 	}
 }

@@ -450,14 +450,14 @@ func TestCacheStatsHitRate(t *testing.T) {
 	if (LangCacheStats{}).HitRate() != 0 {
 		t.Error("zero-traffic per-lang parse hit rate should be 0")
 	}
-	if (EvalCacheStats{}).HitRate() != 0 {
+	if (CacheStats{Skips: 5}).HitRate() != 0 {
 		t.Error("zero-traffic eval hit rate should be 0")
 	}
 	// Skips must not dilute the eval rate.
-	if got := (EvalCacheStats{Hits: 1, Misses: 1, Skips: 100}).HitRate(); got != 0.5 {
+	if got := (CacheStats{Hits: 1, Misses: 1, Skips: 100}).HitRate(); got != 0.5 {
 		t.Errorf("eval hit rate = %v, want 0.5", got)
 	}
-	if got := (LangEvalStats{Hits: 1, Misses: 1, Skips: 9}).HitRate(); got != 0.5 {
+	if got := (LangCacheStats{Hits: 1, Misses: 1, Skips: 9}).HitRate(); got != 0.5 {
 		t.Errorf("per-lang eval hit rate = %v, want 0.5", got)
 	}
 }

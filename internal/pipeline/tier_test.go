@@ -1,7 +1,7 @@
 package pipeline
 
-// Tests for the sharded, coalescing, warm-restart cache tier: shard
-// resolution, LRU recency, singleflight exactly-once and poison-safety,
+// Tests for the coalescing, warm-restart cache tier: whole-cache bounds,
+// LRU recency, singleflight exactly-once and poison-safety,
 // eval-flight coalescing (including the canceled-leader retry rule),
 // snapshot encode/decode round trips, and corruption handling.
 
@@ -18,93 +18,8 @@ import (
 	"time"
 )
 
-func TestShardCountResolution(t *testing.T) {
-	cases := []struct {
-		requested, maxEntries int
-		maxBytes              int64
-		wantMax               int // resolved count must be <= this and a power of two
-		wantExact             int // 0 = only check bounds/pow2
-	}{
-		// Tiny bounds collapse to one shard so exact-eviction semantics
-		// (and tests pinned to them) are preserved.
-		{0, 4, DefaultMaxBytes, 0, 1},
-		{0, DefaultMaxEntries, 64, 0, 1},
-		// Explicit counts round up to a power of two and cap at 256.
-		{3, DefaultMaxEntries, DefaultMaxBytes, 256, 4},
-		{1000, 1 << 20, 1 << 30, 256, 256},
-		// Default bounds allow striping.
-		{0, DefaultMaxEntries, DefaultMaxBytes, 256, 0},
-	}
-	for _, tc := range cases {
-		got := shardCount(tc.requested, tc.maxEntries, tc.maxBytes)
-		if got < 1 || got&(got-1) != 0 {
-			t.Errorf("shardCount(%d, %d, %d) = %d, not a positive power of two",
-				tc.requested, tc.maxEntries, tc.maxBytes, got)
-		}
-		if tc.wantExact != 0 && got != tc.wantExact {
-			t.Errorf("shardCount(%d, %d, %d) = %d, want %d",
-				tc.requested, tc.maxEntries, tc.maxBytes, got, tc.wantExact)
-		}
-		if tc.wantMax != 0 && got > tc.wantMax {
-			t.Errorf("shardCount(%d, %d, %d) = %d, want <= %d",
-				tc.requested, tc.maxEntries, tc.maxBytes, got, tc.wantMax)
-		}
-	}
-}
-
-// TestCacheShardedLangNamespacing is the sharding regression for the
-// cross-language invariant: identical bytes under two languages hash
-// to (possibly) different shards yet must stay two distinct entries
-// with per-language stats intact — exactly the single-mutex semantics.
-func TestCacheShardedLangNamespacing(t *testing.T) {
-	c := NewCacheSharded(0, 0, 64)
-	ps := &fakeLang{name: "powershell"}
-	js := &fakeLang{name: "javascript"}
-	const src = "shared-bytes('x')"
-	if _, err := c.Parse(ps, src); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Parse(js, src); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Parse(ps, src); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Parse(js, src); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Entries(); got != 2 {
-		t.Errorf("identical bytes under two langs: %d entries, want 2", got)
-	}
-	if ps.parses.Load() != 1 || js.parses.Load() != 1 {
-		t.Errorf("parse counts ps=%d js=%d, want 1 each", ps.parses.Load(), js.parses.Load())
-	}
-	byLang := c.LangStats()
-	for _, lang := range []string{"powershell", "javascript"} {
-		ls := byLang[lang]
-		if ls.Hits != 1 || ls.Misses != 1 {
-			t.Errorf("%s stats = %+v, want 1 hit / 1 miss", lang, ls)
-		}
-		if ls.HitRate() != 0.5 {
-			t.Errorf("%s hit rate = %v, want 0.5", lang, ls.HitRate())
-		}
-	}
-	occ := c.ShardOccupancy()
-	if len(occ) != c.ShardCount() {
-		t.Fatalf("occupancy has %d slots, want %d", len(occ), c.ShardCount())
-	}
-	total := 0
-	for _, n := range occ {
-		total += n
-	}
-	if total != 2 {
-		t.Errorf("shard occupancy sums to %d, want 2", total)
-	}
-}
-
 func TestCacheLRUEvictionOrder(t *testing.T) {
-	// Single shard so the recency order is directly observable.
-	c := NewCacheSharded(3, 0, 1)
+	c := NewCache(3, 0)
 	l := newFakeLang()
 	for _, s := range []string{"a", "b", "c"} {
 		if _, err := c.Parse(l, s); err != nil {
@@ -131,6 +46,110 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 	}
 	if l.parses.Load() != parsesBefore+1 {
 		t.Error("least-recently-used entry was not the eviction victim")
+	}
+}
+
+// TestCacheGlobalBound: the entry bound holds across the whole cache.
+// Filling it to exactly DefaultMaxEntries evicts nothing; one more text
+// evicts exactly one entry, the least recently used.
+func TestCacheGlobalBound(t *testing.T) {
+	c := NewCache(0, 0)
+	l := newFakeLang()
+	text := func(i int) string { return fmt.Sprintf("text-%05d", i) }
+	parse := func(i int) {
+		t.Helper()
+		if _, err := c.Parse(l, text(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < DefaultMaxEntries; i++ {
+		parse(i)
+	}
+	if st := c.Stats(); st.Evictions != 0 || st.Entries != DefaultMaxEntries {
+		t.Fatalf("full cache: %d evictions, %d entries; want 0, %d", st.Evictions, st.Entries, DefaultMaxEntries)
+	}
+	parse(0) // text 1 is now the least recently used
+	parse(DefaultMaxEntries)
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != DefaultMaxEntries {
+		t.Fatalf("one past full: %d evictions, %d entries; want 1, %d", st.Evictions, st.Entries, DefaultMaxEntries)
+	}
+	before := l.parses.Load()
+	parse(0)
+	if l.parses.Load() != before {
+		t.Error("recently used text 0 was evicted")
+	}
+	parse(1)
+	if l.parses.Load() != before+1 {
+		t.Error("least recently used text 1 was not the eviction victim")
+	}
+}
+
+// TestEvalCacheGlobalBound is TestCacheGlobalBound for the eval cache
+// at DefaultEvalMaxEntries.
+func TestEvalCacheGlobalBound(t *testing.T) {
+	c := NewEvalCache(0, 0)
+	v := c.View(testOps())
+	noVars := func(string) (string, bool) { return "", false }
+	snippet := func(i int) string { return fmt.Sprintf("'snippet-%05d'", i) }
+	for i := 0; i < DefaultEvalMaxEntries; i++ {
+		v.Insert(snippet(i), nil, []any{"v"})
+	}
+	if st := c.Stats(); st.Evictions != 0 || st.Entries != DefaultEvalMaxEntries {
+		t.Fatalf("full cache: %d evictions, %d entries; want 0, %d", st.Evictions, st.Entries, DefaultEvalMaxEntries)
+	}
+	if _, ok := v.Lookup(snippet(0), noVars); !ok { // snippet 1 is now the least recently used
+		t.Fatal("snippet 0 missing from a cache filled to its bound")
+	}
+	v.Insert(snippet(DefaultEvalMaxEntries), nil, []any{"v"})
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != DefaultEvalMaxEntries {
+		t.Fatalf("one past full: %d evictions, %d entries; want 1, %d", st.Evictions, st.Entries, DefaultEvalMaxEntries)
+	}
+	if _, ok := v.Lookup(snippet(0), noVars); !ok {
+		t.Error("recently used snippet 0 was evicted")
+	}
+	if _, ok := v.Lookup(snippet(1), noVars); ok {
+		t.Error("least recently used snippet 1 was not the eviction victim")
+	}
+}
+
+// TestSnapshotTextsGlobalLRUOrder: after a known access sequence,
+// SnapshotTexts lists every text oldest first in exact LRU order. The
+// expected order comes from a list model kept here.
+func TestSnapshotTextsGlobalLRUOrder(t *testing.T) {
+	const n = 32
+	c := NewCache(0, 0)
+	l := newFakeLang()
+	var model []string // least recently used first
+	use := func(s string) {
+		t.Helper()
+		if _, err := c.Parse(l, s); err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range model {
+			if m == s {
+				model = append(model[:i], model[i+1:]...)
+				break
+			}
+		}
+		model = append(model, s)
+	}
+	for i := 0; i < n; i++ {
+		use(fmt.Sprintf("text-%02d", i))
+	}
+	for i := n - 1; i >= 0; i -= 3 {
+		use(fmt.Sprintf("text-%02d", i))
+	}
+	for i := 0; i < n; i += 5 {
+		use(fmt.Sprintf("text-%02d", i))
+	}
+	got := c.SnapshotTexts()
+	if len(got) != len(model) {
+		t.Fatalf("SnapshotTexts has %d entries, want %d", len(got), len(model))
+	}
+	for i, e := range got {
+		if e.Lang != "fake" || e.Text != model[i] {
+			t.Fatalf("SnapshotTexts[%d] = %+v, want %q (full order %v)", i, e, model[i], model)
+		}
 	}
 }
 
@@ -161,14 +180,14 @@ func (l *slowLang) Parse(src string) (any, error) {
 // goroutines while a churn stream floods distinct keys, asserting the
 // hot key is parsed exactly once per generation and memory stays
 // bounded. Run under -race this is also the data-race gate for the
-// shard/slot protocol.
+// cache/slot protocol.
 func TestCacheHotKeyCoalescedExactlyOnce(t *testing.T) {
 	const (
 		workers    = 16
 		churnKeys  = 512
 		maxEntries = 128
 	)
-	c := NewCacheSharded(maxEntries, 0, 8)
+	c := NewCache(maxEntries, 0)
 	hot := &slowLang{name: "hot", gate: make(chan struct{})}
 	churn := newFakeLang()
 
@@ -238,7 +257,7 @@ func TestCacheHotKeyCoalescedExactlyOnce(t *testing.T) {
 // leader alone and (b) the slot resets so a later request recomputes
 // instead of inheriting a poisoned artifact.
 func TestCacheLeaderPanicDoesNotPoison(t *testing.T) {
-	c := NewCacheSharded(0, 0, 1)
+	c := NewCache(0, 0)
 	l := &slowLang{name: "panicky"}
 	l.panicIn.Store(1)
 	func() {
@@ -423,31 +442,6 @@ func TestEvalTicketResolutionIdempotent(t *testing.T) {
 	nilTicket.Abort()
 	if nilTicket.Enabled() {
 		t.Error("nil ticket reports enabled")
-	}
-}
-
-func TestEvalCacheShardedLangNamespacing(t *testing.T) {
-	c := NewEvalCacheSharded(0, 0, 64)
-	ps := c.View(fakeOps{name: "powershell"})
-	js := c.View(fakeOps{name: "javascript"})
-	noVars := func(string) (string, bool) { return "", false }
-	const snippet = "'same bytes'"
-	ps.Insert(snippet, nil, []any{"ps-result"})
-	js.Insert(snippet, nil, []any{"js-result"})
-	if got := c.Stats().Entries; got != 2 {
-		t.Errorf("identical snippet under two langs: %d entries, want 2", got)
-	}
-	if out, ok := ps.Lookup(snippet, noVars); !ok || out[0] != "ps-result" {
-		t.Errorf("powershell lookup = %v ok=%t", out, ok)
-	}
-	if out, ok := js.Lookup(snippet, noVars); !ok || out[0] != "js-result" {
-		t.Errorf("javascript lookup = %v ok=%t", out, ok)
-	}
-	byLang := c.LangStats()
-	for _, lang := range []string{"powershell", "javascript"} {
-		if ls := byLang[lang]; ls.Hits != 1 || ls.Misses != 1 {
-			t.Errorf("%s stats = %+v, want 1 hit / 1 miss", lang, ls)
-		}
 	}
 }
 

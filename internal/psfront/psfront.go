@@ -50,13 +50,8 @@ func (PS) Parse(src string) (any, error) { return psparser.Parse(src) }
 
 // Evaluate runs a snippet in a fresh bounded interpreter with the given
 // variable preloads.
-func (PS) Evaluate(ctx context.Context, snippet string, vars map[string]any, budget frontend.EvalBudget) (frontend.EvalResult, error) {
-	in := psinterp.New(psinterp.Options{
-		MaxSteps:      budget.MaxSteps,
-		StrictVars:    true,
-		MaxAllocBytes: budget.MaxAllocBytes,
-		Ctx:           ctx,
-	})
+func (PS) Evaluate(ctx context.Context, snippet string, vars map[string]any) (frontend.EvalResult, error) {
+	in := psinterp.New(psinterp.Options{StrictVars: true, Ctx: ctx})
 	for name, v := range vars {
 		in.SetVar(name, v)
 	}
@@ -89,11 +84,6 @@ func (PS) ValueSize(v any) int { return psinterp.ValueSize(v) }
 
 // DefaultBlocklist is the paper's irrelevant-command blocklist.
 func (PS) DefaultBlocklist() map[string]bool { return psnames.DefaultBlocklist() }
-
-// Capabilities: full evaluation and recoverable-node support.
-func (PS) Capabilities() frontend.Capabilities {
-	return frontend.Capabilities{Evaluate: true, RecoverableNodes: true}
-}
 
 // LayerPasses returns the passes of the fixpoint loop (phases 1–2) in
 // order, honoring the ablation switches.

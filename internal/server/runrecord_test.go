@@ -102,6 +102,28 @@ var (
 	}
 )
 
+// parseCacheKeys, evalCacheKeys and their by_lang counterparts are the
+// /statsz cache keys after runRecordScript and skipScript on a server
+// without a snapshot (warmed and warm_hits are omitted at zero, and so
+// is skips, which only the eval cache counts). The benchmark harness
+// reads hits, misses, skips and coalesced_waits from both caches.
+var (
+	parseCacheKeys = []string{
+		"by_lang", "bytes", "coalesced_waits", "entries", "evictions",
+		"hit_rate", "hits", "misses",
+	}
+	evalCacheKeys = []string{
+		"by_lang", "bytes", "coalesced_waits", "entries", "evictions",
+		"hit_rate", "hits", "misses", "skips",
+	}
+	parseLangKeys = []string{"hit_rate", "hits", "misses"}
+	evalLangKeys  = []string{"hit_rate", "hits", "misses", "skips"}
+)
+
+// skipScript holds a piece whose evaluation fails (division by zero),
+// which the eval cache counts as a skip.
+const skipScript = `Write-Host (1/0)`
+
 // keysOf returns the sorted keys of a JSON object.
 func keysOf(t *testing.T, raw json.RawMessage) []string {
 	t.Helper()
@@ -118,7 +140,8 @@ func keysOf(t *testing.T, raw json.RawMessage) []string {
 }
 
 // TestRunRecordWireKeys pins the key sets of stats and pass_trace in
-// the /v1/deobfuscate response and in /statsz.
+// the /v1/deobfuscate response and in /statsz, and of both caches and
+// their by_lang entries in /statsz.
 func TestRunRecordWireKeys(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -131,9 +154,17 @@ func TestRunRecordWireKeys(t *testing.T) {
 	if err := json.Unmarshal(deobfuscateOnce(t, ts), &resp); err != nil {
 		t.Fatal(err)
 	}
+	if pr := postJSON(t, ts.Client(), ts.URL+"/v1/deobfuscate", scriptBody(skipScript), nil); pr.status != http.StatusOK {
+		t.Fatalf("status %d: %s", pr.status, pr.raw)
+	}
+	type cacheView struct {
+		ByLang map[string]json.RawMessage `json:"by_lang"`
+	}
 	var statsz struct {
-		Stats     json.RawMessage   `json:"stats"`
-		PassTrace []json.RawMessage `json:"pass_trace"`
+		Stats      json.RawMessage   `json:"stats"`
+		PassTrace  []json.RawMessage `json:"pass_trace"`
+		ParseCache json.RawMessage   `json:"parse_cache"`
+		EvalCache  json.RawMessage   `json:"eval_cache"`
 	}
 	getJSON(t, ts, "/statsz", &statsz)
 
@@ -151,6 +182,30 @@ func TestRunRecordWireKeys(t *testing.T) {
 	for _, raw := range append(resp.PassTrace, statsz.PassTrace...) {
 		if got := keysOf(t, raw); !reflect.DeepEqual(got, passKeys) {
 			t.Errorf("pass_trace keys = %v, want %v", got, passKeys)
+		}
+	}
+
+	for _, c := range []struct {
+		name           string
+		raw            json.RawMessage
+		keys, langKeys []string
+	}{
+		{"parse_cache", statsz.ParseCache, parseCacheKeys, parseLangKeys},
+		{"eval_cache", statsz.EvalCache, evalCacheKeys, evalLangKeys},
+	} {
+		if got := keysOf(t, c.raw); !reflect.DeepEqual(got, c.keys) {
+			t.Errorf("/statsz %s keys = %v, want %v", c.name, got, c.keys)
+		}
+		var cv cacheView
+		if err := json.Unmarshal(c.raw, &cv); err != nil {
+			t.Fatal(err)
+		}
+		lang, ok := cv.ByLang["powershell"]
+		if !ok {
+			t.Fatalf("/statsz %s by_lang has no powershell entry: %s", c.name, c.raw)
+		}
+		if got := keysOf(t, lang); !reflect.DeepEqual(got, c.langKeys) {
+			t.Errorf("/statsz %s by_lang keys = %v, want %v", c.name, got, c.langKeys)
 		}
 	}
 }

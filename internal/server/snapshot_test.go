@@ -41,10 +41,6 @@ func TestSnapshotLifecycle(t *testing.T) {
 	if sb1.Snapshot.LoadError != "" {
 		t.Errorf("missing snapshot recorded as load error: %q", sb1.Snapshot.LoadError)
 	}
-	if sb1.ParseCache.Shards < 1 || len(sb1.ParseCache.ShardOccupancy) != sb1.ParseCache.Shards {
-		t.Errorf("parse cache shard stats malformed: shards=%d occupancy=%d slots",
-			sb1.ParseCache.Shards, len(sb1.ParseCache.ShardOccupancy))
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s1.Drain(ctx); err != nil {

@@ -185,10 +185,6 @@ type cacheStatsBody struct {
 	Entries   int     `json:"entries"`
 	Bytes     int64   `json:"bytes"`
 	HitRate   float64 `json:"hit_rate"`
-	// Shards is the lock-stripe count; ShardOccupancy the per-shard
-	// entry counts in shard order (skew here means a hot hash range).
-	Shards         int   `json:"shards"`
-	ShardOccupancy []int `json:"shard_occupancy"`
 	// CoalescedWaits counts requests that blocked on another request's
 	// identical in-flight computation instead of duplicating it.
 	CoalescedWaits int64 `json:"coalesced_waits"`
@@ -208,6 +204,28 @@ type langCacheStatsBody struct {
 	Misses  int64   `json:"misses"`
 	Skips   int64   `json:"skips,omitempty"`
 	HitRate float64 `json:"hit_rate"`
+}
+
+// cacheBody maps one cache's counters to their wire shape; the parse
+// and eval caches report through it alike.
+func cacheBody(st pipeline.CacheStats, byLang map[string]pipeline.LangCacheStats) cacheStatsBody {
+	body := cacheStatsBody{
+		Hits: st.Hits, Misses: st.Misses, Skips: st.Skips,
+		Evictions: st.Evictions, Entries: st.Entries, Bytes: st.Bytes,
+		HitRate:        st.HitRate(),
+		CoalescedWaits: st.CoalescedWaits,
+		Warmed:         st.Warmed, WarmHits: st.WarmHits,
+	}
+	if len(byLang) > 0 {
+		body.ByLang = make(map[string]langCacheStatsBody, len(byLang))
+		for lang, ls := range byLang {
+			body.ByLang[lang] = langCacheStatsBody{
+				Hits: ls.Hits, Misses: ls.Misses, Skips: ls.Skips,
+				HitRate: ls.HitRate(),
+			}
+		}
+	}
+	return body
 }
 
 // statszBody is the GET /statsz response.
@@ -314,41 +332,10 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			Allowed: q.Allowed, Rejected: q.Rejected, Evictions: q.Evictions,
 		}
 	}
-	pc := s.cache.Stats()
-	body.ParseCache = cacheStatsBody{
-		Hits: pc.Hits, Misses: pc.Misses, Evictions: pc.Evictions,
-		Entries: pc.Entries, Bytes: pc.Bytes, HitRate: pc.HitRate(),
-		Shards: pc.Shards, ShardOccupancy: s.cache.ShardOccupancy(),
-		CoalescedWaits: pc.CoalescedWaits,
-		Warmed:         pc.Warmed, WarmHits: pc.WarmHits,
-	}
-	if byLang := s.cache.LangStats(); len(byLang) > 0 {
-		body.ParseCache.ByLang = make(map[string]langCacheStatsBody, len(byLang))
-		for lang, ls := range byLang {
-			body.ParseCache.ByLang[lang] = langCacheStatsBody{
-				Hits: ls.Hits, Misses: ls.Misses, HitRate: ls.HitRate(),
-			}
-		}
-	}
+	body.ParseCache = cacheBody(s.cache.Stats(), s.cache.LangStats())
 	if s.evalCache != nil {
-		ec := s.evalCache.Stats()
-		body.EvalCache = &cacheStatsBody{
-			Hits: ec.Hits, Misses: ec.Misses, Skips: ec.Skips,
-			Evictions: ec.Evictions, Entries: ec.Entries, Bytes: ec.Bytes,
-			HitRate: ec.HitRate(),
-			Shards:  ec.Shards, ShardOccupancy: s.evalCache.ShardOccupancy(),
-			CoalescedWaits: ec.CoalescedWaits,
-			Warmed:         ec.Warmed, WarmHits: ec.WarmHits,
-		}
-		if byLang := s.evalCache.LangStats(); len(byLang) > 0 {
-			body.EvalCache.ByLang = make(map[string]langCacheStatsBody, len(byLang))
-			for lang, ls := range byLang {
-				body.EvalCache.ByLang[lang] = langCacheStatsBody{
-					Hits: ls.Hits, Misses: ls.Misses, Skips: ls.Skips,
-					HitRate: ls.HitRate(),
-				}
-			}
-		}
+		ec := cacheBody(s.evalCache.Stats(), s.evalCache.LangStats())
+		body.EvalCache = &ec
 	}
 	body.Snapshot = s.snapshotStats()
 	writeJSON(w, http.StatusOK, body)
